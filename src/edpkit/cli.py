@@ -19,6 +19,7 @@ from edpkit.instance import (
     MultiDemandInstance,
     ParseError,
     PathSet,
+    normalize_instance,
     parse_instance,
     verify_solution,
     write_instance,
@@ -104,10 +105,16 @@ def _solve_one(path: Path, args: argparse.Namespace) -> tuple[int, str]:
 def _solve_edp(
     inst: EdpInstance, engine: str, args: argparse.Namespace
 ) -> tuple[str, str, str, PathSet | None]:
+    x: int | None = None
     if engine == "auto":
         probe = find_fvs_one(inst.g)
         if probe.found:
             engine = "sedp"
+            # Normalization only appends pendant leaves, so the vertex found
+            # here is the one solve_sedp would find; on a forest any serves.
+            x = probe.vertex
+            if probe.already_forest and inst.g.n:
+                x = 1
         else:
             result = solve_fracture(inst, kmax=args.kmax)
             if result.status != "modulator-exceeded":
@@ -120,7 +127,7 @@ def _solve_edp(
             engine = "twdp"
     if engine == "sedp":
         try:
-            r = solve_sedp(inst)
+            r = solve_sedp(inst, x=x)
             return "sedp", r.status, "", r.paths
         except NotFvsOne as exc:
             return "sedp", "unknown", str(exc), None
@@ -133,8 +140,10 @@ def _solve_edp(
         try:
             if args.engine == "auto":
                 # Fall back to brute force rather than running the DP on a
-                # decomposition too wide to finish in reasonable time.
-                td = build_tree_decomposition(inst.g)
+                # decomposition too wide to finish in reasonable time.  The
+                # DP runs on the normalized graph, so the decomposition must
+                # cover the terminal leaves that normalization adds.
+                td = build_tree_decomposition(normalize_instance(inst).g)
                 cap = args.width_limit if args.width_limit is not None else 8
                 if td.width > cap:
                     b = brute_force_edp(inst, budget=args.budget)

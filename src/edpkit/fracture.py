@@ -22,10 +22,9 @@ from edpkit.instance import (
     EdpInstance,
     PathSet,
     augmented_graph,
-    denormalize_paths,
+    certify,
     normalize_instance,
     shortcut_walk,
-    verify_solution,
 )
 from edpkit.oracle import fracture_modulator_valid
 
@@ -685,9 +684,4 @@ def solve_fracture(inst: EdpInstance, kmax: int, approx_modulator: bool = False)
             edges = unbuffered
         mapped.append(shortcut_walk(work.g, tuple(edges), p.s))
     sol = PathSet(tuple(mapped))
-    verdict = verify_solution(work, sol)
-    assert verdict.ok, f"fracture produced an invalid certificate: {verdict.reason}"
-    final = denormalize_paths(inst, sol) if work is not inst else sol
-    verdict = verify_solution(inst, final)
-    assert verdict.ok, f"fracture certificate broke during denormalization: {verdict.reason}"
-    return FractureResult("yes", final, modulator=x)
+    return FractureResult("yes", certify("fracture", inst, work, sol), modulator=x)

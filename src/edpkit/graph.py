@@ -185,54 +185,61 @@ class FvsOneResult:
 def find_fvs_one(g: Multigraph) -> FvsOneResult:
     """Find one vertex whose deletion makes g a forest, if such exists.
 
-    Any such vertex must lie on every cycle, so candidates are restricted to
-    one concrete cycle; the lowest feasible id on that cycle is returned.
+    g - v is a forest exactly when m - deg(v) = (n - 1) - c(g - v), and one
+    articulation-point DFS (Hopcroft & Tarjan, 1973) yields the component
+    count c(g - v) for every v in O(n + m).  The lowest feasible id is
+    returned.  Any feasible vertex lies on every cycle, so that is also the
+    lowest feasible vertex of any one cycle.
     """
-    cycle = _find_cycle(g)
-    if cycle is None:
+    n, edges, incident = g.n, g.edges, g._incident
+    disc = [0] * (n + 1)
+    low = [0] * (n + 1)
+    # c(g - v) = comps + split[v]: a non-root vertex splits off one piece per
+    # DFS child whose subtree has no back edge above v; a root loses its own
+    # component and leaves one piece per DFS child.
+    split = [0] * (n + 1)
+    comps = 0
+    clock = 0
+    for root in range(1, n + 1):
+        if disc[root]:
+            continue
+        comps += 1
+        clock += 1
+        disc[root] = low[root] = clock
+        split[root] = -1
+        stack = [(root, -1, iter(incident[root]))]
+        while stack:
+            v, parent_edge, it = stack[-1]
+            for e in it:
+                # Only the tree edge's own index is skipped, so a parallel
+                # edge back to the parent counts as a back edge (a cycle).
+                if e == parent_edge:
+                    continue
+                a, b = edges[e]
+                w = b if a == v else a
+                if disc[w]:
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    stack.append((w, e, iter(incident[w])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if low[v] >= disc[u]:
+                        split[u] += 1
+    m = len(edges)
+    if m == n - comps:
         return FvsOneResult(vertex=None, already_forest=True)
-    for v in sorted(cycle):
-        if is_forest(g.without_vertices([v])):
+    for v in range(1, n + 1):
+        if m - len(incident[v]) == n - 1 - comps - split[v]:
             return FvsOneResult(vertex=v, already_forest=False)
     return FvsOneResult(vertex=None, already_forest=False)
-
-
-def _find_cycle(g: Multigraph) -> set[int] | None:
-    """Vertex set of some cycle of g, or None if acyclic (multigraph-aware)."""
-    color = [0] * (g.n + 1)
-    parent_edge = [-1] * (g.n + 1)
-    parent = [0] * (g.n + 1)
-    for start in range(1, g.n + 1):
-        if color[start]:
-            continue
-        color[start] = 1
-        stack = [(start, iter(g.incident(start)))]
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for e in it:
-                if e == parent_edge[v]:
-                    # A parallel edge back to the parent is a real cycle and
-                    # is caught below because only one index is excluded.
-                    continue
-                w = g.other_end(e, v)
-                if color[w]:
-                    # Back edge: walk v up to w along tree parents.
-                    cyc = {w, v}
-                    a = v
-                    while a != w:
-                        a = parent[a]
-                        cyc.add(a)
-                    return cyc
-                color[w] = 1
-                parent[w] = v
-                parent_edge[w] = e
-                stack.append((w, iter(g.incident(w))))
-                advanced = True
-                break
-            if not advanced:
-                stack.pop()
-    return None
 
 
 def max_weight_matching(g: Multigraph, weights: Sequence[int] | Callable[[int], int]) -> Matching:

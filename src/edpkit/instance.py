@@ -94,6 +94,10 @@ class Verdict:
     reason: str | None = None
 
 
+class CertificateError(RuntimeError):
+    """A solver's own path set failed verification: an internal fault."""
+
+
 class ParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
@@ -307,6 +311,24 @@ def verify_solution(inst: EdpInstance, sol: PathSet) -> Verdict:
         if end != pair.t:
             return Verdict(False, f"path {i}: wrong endpoint (reached {end}, wanted {pair.t})")
     return Verdict(True)
+
+
+def certify(engine: str, inst: EdpInstance, work: EdpInstance, sol: PathSet) -> PathSet:
+    """Check a solver's path set and return it as a solution of inst.
+
+    sol solves work, which is inst itself or normalize_instance(inst).  It
+    is verified on work and, when work is a rewrite, mapped back with
+    denormalize_paths and verified again on inst.  A failure raises
+    CertificateError rather than failing an assert, so `python -O` keeps
+    the check.
+    """
+    verdict = verify_solution(work, sol)
+    if verdict.ok and work is not inst:
+        sol = denormalize_paths(inst, sol)
+        verdict = verify_solution(inst, sol)
+    if not verdict.ok:
+        raise CertificateError(f"{engine} produced an invalid certificate: {verdict.reason}")
+    return sol
 
 
 def shortcut_walk(g: Multigraph, path: tuple[int, ...], start: int) -> tuple[int, ...]:

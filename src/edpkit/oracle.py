@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from edpkit.graph import Multigraph, components_excluding
-from edpkit.instance import EdpInstance, MultiDemandInstance, PathSet, verify_solution
+from edpkit.instance import EdpInstance, MultiDemandInstance, PathSet, certify
 
 DEFAULT_BUDGET = 10**7
 
@@ -295,10 +295,7 @@ def brute_force_edp(inst: EdpInstance, budget: int = DEFAULT_BUDGET) -> BruteRes
         return BruteResult("budget")
     if paths is None:
         return BruteResult("no")
-    sol = PathSet(tuple(paths))
-    verdict = verify_solution(inst, sol)
-    assert verdict.ok, f"oracle produced an invalid certificate: {verdict.reason}"
-    return BruteResult("yes", sol)
+    return BruteResult("yes", certify("brute", inst, inst, PathSet(tuple(paths))))
 
 
 def brute_force_multi(inst: MultiDemandInstance, budget: int = DEFAULT_BUDGET) -> BruteResult:

@@ -14,21 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from edpkit.graph import (
-    Multigraph,
-    components_excluding,
-    find_fvs_one,
-    is_forest,
-    matching_max_cover,
-)
+from edpkit.graph import Multigraph, find_fvs_one, matching_max_cover
 from edpkit.instance import (
     EdpInstance,
     PathSet,
     TerminalPair,
-    denormalize_paths,
+    certify,
     normalize_instance,
     shortcut_walk,
-    verify_solution,
 )
 
 
@@ -59,6 +52,7 @@ class SedpInstance:
     parent: dict[int, int]
     children: dict[int, tuple[int, ...]]
     post_order: tuple[int, ...]
+    tree_slice: dict[int, slice]  # root -> its tree's vertices in post_order
     tree_of: dict[int, int]  # vertex -> root of its tree
     x_edge_of: dict[int, int]  # forest leaf -> its unique edge index to x
     pair_of: dict[int, int]  # terminal -> pair index
@@ -86,8 +80,30 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
         raise ValueError(f"feedback vertex {x} out of range")
     if not inst.normalized:
         raise ValueError("prepare_sedp expects a normalized instance")
-    if not is_forest(g.without_vertices([x])):
-        raise NotFvsOne(f"graph minus vertex {x} is not a forest")
+    # One union-find scan over the edges of g - x rejects a cycle and yields
+    # the trees of the forest, listed by smallest vertex with their vertices
+    # ascending.  The rewrites below only hang fresh, higher-numbered leaves
+    # off these trees, so they stay the trees of the prepared forest in the
+    # same order.
+    uf = list(range(g.n + 1))
+
+    def find(a: int) -> int:
+        while uf[a] != a:
+            uf[a] = uf[uf[a]]
+            a = uf[a]
+        return a
+
+    for u, v in g.edges:
+        if u != x and v != x:
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                raise NotFvsOne(f"graph minus vertex {x} is not a forest")
+            uf[ru] = rv
+    trees: dict[int, list[int]] = {}
+    for v in range(1, g.n + 1):
+        if v != x:
+            trees.setdefault(find(v), []).append(v)
+    forest = list(trees.values())
 
     edges: list[tuple[int, int]] = list(g.edges)
     origin: list[int | None] = list(range(g.m))
@@ -100,35 +116,31 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
             next_id += 1
             edges.append((next_id, x))
             origin.append(None)
+            forest.append([next_id])
             other = p.t if p.s == x else p.s
             pairs[j] = TerminalPair(next_id, other) if p.s == x else TerminalPair(other, next_id)
             break  # normalized: x occurs in at most one pair
 
     terminals = {v for p in pairs for v in p.members()}
 
-    def forest_components() -> list[set[int]]:
-        helper = Multigraph(next_id, edges, directed=False)
-        comps = components_excluding(helper, [x])
-        return sorted(comps, key=min)
-
     # (3) every tree needs a non-terminal root without an x-edge.
     x_adjacent = {u for u, v in edges if v == x} | {v for u, v in edges if u == x}
-    chosen_roots: list[int] = []
-    for comp in forest_components():
+    roots: list[int] = []
+    for comp in forest:
         if len(comp) == 1:
-            chosen_roots.append(min(comp))
+            roots.append(comp[0])
             continue
-        candidates = sorted(v for v in comp if v not in terminals and v not in x_adjacent)
-        if candidates:
-            chosen_roots.append(candidates[0])
+        root = next((v for v in comp if v not in terminals and v not in x_adjacent), None)
+        if root is not None:
+            roots.append(root)
         else:
             # Normalization forbids adjacent terminals, so a multi-vertex
             # tree always has a non-terminal vertex to hang the root off.
-            anchor = min(v for v in comp if v not in terminals)
+            anchor = next(v for v in comp if v not in terminals)
             next_id += 1
             edges.append((anchor, next_id))
             origin.append(None)
-            chosen_roots.append(next_id)
+            roots.append(next_id)
 
     # (1) x-edges may only reach forest leaves, one edge each.  Offending
     # x-edges are re-routed through a fresh leaf: the edge (n, x) becomes
@@ -187,11 +199,10 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
             adj[v].append(u)
     post_order: list[int] = []
     tree_of: dict[int, int] = {}
+    spans: list[tuple[int, int]] = []
     seen = set()
-    ordered_roots: list[int] = []
-    for comp in sorted(components_excluding(prepared_graph, [x]), key=min):
-        root = next(r for r in chosen_roots if r in comp)
-        ordered_roots.append(root)
+    for root in roots:
+        start = len(post_order)
         stack = [root]
         parent[root] = 0
         seen.add(root)
@@ -205,7 +216,10 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
                     parent[w] = v
                     children[v].append(w)
                     stack.append(w)
+        spans.append((start, len(post_order)))
     post_order.reverse()  # children before parents
+    total = len(post_order)
+    tree_slice = {root: slice(total - stop, total - start) for root, (start, stop) in zip(roots, spans)}
     for v in children:
         children[v].sort()
 
@@ -220,10 +234,11 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
     return SedpInstance(
         inst=prepared,
         x=x,
-        roots=tuple(ordered_roots),
+        roots=tuple(roots),
         parent=parent,
         children={v: tuple(cs) for v, cs in children.items()},
         post_order=tuple(post_order),
+        tree_slice=tree_slice,
         tree_of=tree_of,
         x_edge_of=x_edge_of,
         pair_of=pair_of,
@@ -332,9 +347,8 @@ def compute_labels(prep: SedpInstance, t: int, child_labels: dict[int, LabelSet]
 def labels_for_tree(prep: SedpInstance, root: int) -> dict[int, LabelSet]:
     """Bottom-up label sets for every vertex of the tree rooted at root."""
     labels: dict[int, LabelSet] = {}
-    for v in prep.post_order:
-        if prep.tree_of[v] == root:
-            labels[v] = compute_labels(prep, v, labels)
+    for v in prep.post_order[prep.tree_slice[root]]:
+        labels[v] = compute_labels(prep, v, labels)
     return labels
 
 
@@ -564,9 +578,4 @@ def solve_sedp(inst: EdpInstance, x: int | None = None) -> SedpResult:
                 mapped.append(src)
         normalized_paths.append(tuple(mapped))
     sol = PathSet(tuple(normalized_paths))
-    verdict = verify_solution(work, sol)
-    assert verdict.ok, f"sedp produced an invalid certificate: {verdict.reason}"
-    final = denormalize_paths(inst, sol) if work is not inst else sol
-    verdict = verify_solution(inst, final)
-    assert verdict.ok, f"sedp certificate broke during denormalization: {verdict.reason}"
-    return SedpResult("yes", final)
+    return SedpResult("yes", certify("sedp", inst, work, sol))

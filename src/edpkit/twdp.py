@@ -25,9 +25,8 @@ from edpkit.graph import Multigraph
 from edpkit.instance import (
     EdpInstance,
     PathSet,
-    denormalize_paths,
+    certify,
     normalize_instance,
-    verify_solution,
 )
 from edpkit.treedec import (
     NiceTreeDecomposition,
@@ -398,9 +397,4 @@ def solve_twdp(
         edges, a, b, _ = path
         out_paths.append(edges if a == p.s else tuple(reversed(edges)))
     sol = PathSet(tuple(out_paths))
-    verdict = verify_solution(work, sol)
-    assert verdict.ok, f"twdp produced an invalid certificate: {verdict.reason}"
-    final = denormalize_paths(inst, sol) if work is not inst else sol
-    verdict = verify_solution(inst, final)
-    assert verdict.ok, f"twdp certificate broke during denormalization: {verdict.reason}"
-    return TwdpResult("yes", final)
+    return TwdpResult("yes", certify("twdp", inst, work, sol))

@@ -1,6 +1,11 @@
 from pathlib import Path
 
+from edpkit import cli, sedp
 from edpkit.cli import EXIT_NO, EXIT_UNKNOWN, EXIT_USAGE, EXIT_YES, main, parse_mcc, parse_solution
+from edpkit.graph import find_fvs_one
+from edpkit.instance import write_instance
+
+from conftest import star_of_paths
 
 
 def write(tmp_path: Path, name: str, text: str) -> Path:
@@ -32,6 +37,56 @@ def test_solve_engines_agree(tmp_path):
     for engine in ("auto", "sedp", "twdp", "fracture", "brute"):
         assert main(["solve", "--engine", engine, str(inst)]) == EXIT_YES
         assert main(["solve", "--engine", engine, str(no_inst)]) == EXIT_NO
+
+
+def grid_text(extra_edges, pairs, w=4, h=4):
+    """A w x h grid (vertex r*w + c + 1) plus extra edges, as an instance."""
+    edges = [(v, v + 1) for v in range(1, w * h + 1) if v % w]
+    edges += [(v, v + w) for v in range(1, w * h - w + 1)]
+    edges += extra_edges
+    n = max([w * h] + [v for e in extra_edges for v in e])
+    lines = [f"p edp {n} {len(edges)} {len(pairs)}"]
+    lines += [f"e {u} {v}" for u, v in edges]
+    lines += [f"t {a} {b}" for a, b in pairs]
+    return "\n".join(lines) + "\n"
+
+
+def test_auto_twdp_with_terminals_on_grid_vertices(tmp_path, capsys):
+    # auto falls through to twdp on these grids.  Terminals written on grid
+    # vertices get leaves from normalization, which the decomposition must
+    # cover; otherwise reconstruction raises KeyError (every terminal on a
+    # grid vertex) or auto answers a wrong "no" (one terminal per pair).
+    cases = {
+        "all-on-vertex.edp": grid_text([], [(1, 16), (4, 13)]),
+        "one-on-vertex.edp": grid_text([(16, 17), (13, 18)], [(1, 17), (4, 18)]),
+        "no-on-vertex.edp": grid_text([], [(1, 16), (1, 13), (1, 11)]),
+    }
+    for name, text in cases.items():
+        inst = write(tmp_path, name, text)
+        want = main(["solve", "--engine", "brute", str(inst)])
+        assert main(["solve", "--engine", "twdp", str(inst)]) == want
+        assert main(["solve", str(inst)]) == want, name
+        assert "[twdp]" in capsys.readouterr().out.splitlines()[-1]
+        if want == EXIT_YES:
+            assert main(["verify", str(inst), str(tmp_path / (name + ".sol"))]) == EXIT_YES
+    capsys.readouterr()
+
+
+def test_auto_probes_feedback_vertex_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return find_fvs_one(g)
+
+    monkeypatch.setattr(cli, "find_fvs_one", counting)
+    monkeypatch.setattr(sedp, "find_fvs_one", counting)
+    hub = write(tmp_path, "hub.edp", write_instance(star_of_paths(600, 60)))
+    triangle = write(tmp_path, "tri.edp", "p edp 3 3 1\ne 1 2\ne 2 3\ne 1 3\nt 2 3\n")
+    for inst in (hub, triangle, write(tmp_path, "p4.edp", P4)):
+        calls.clear()
+        assert main(["solve", str(inst)]) == EXIT_YES
+        assert len(calls) == 1, inst.name
 
 
 def test_solve_multiple_files_with_jobs(tmp_path, capsys):

@@ -11,6 +11,7 @@ from edpkit.graph import (
 )
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_multigraph, rng_for
 
@@ -92,6 +93,31 @@ def test_find_fvs_one_consistency(rng):
         else:
             for v in range(1, g.n + 1):
                 assert not is_forest(g.without_vertices([v]))
+
+
+@st.composite
+def multigraphs(draw):
+    """Small multigraphs with parallel edges, isolated vertices and
+    several components."""
+    n = draw(st.integers(0, 9))
+    if n < 2:
+        return Multigraph(n, [])
+    edge = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(edge, max_size=14))
+    doubled = draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []
+    return Multigraph(n, edges + doubled)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(multigraphs())
+def test_find_fvs_one_matches_definition(g):
+    r = find_fvs_one(g)
+    assert r.already_forest == is_forest(g)
+    if r.already_forest:
+        assert r.vertex is None
+    else:
+        feasible = [v for v in range(1, g.n + 1) if is_forest(g.without_vertices([v]))]
+        assert r.vertex == min(feasible, default=None)
 
 
 def test_matching_examples():

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import edpkit
 from edpkit.graph import Multigraph
 from edpkit.instance import (
     EdpInstance,
@@ -154,3 +161,48 @@ def test_shortcut_walk():
     walk = (0, 1, 2, 3)  # 1-2-3-1-4 revisits vertex 1
     short = shortcut_walk(g, walk, 1)
     assert short == (3,)
+
+
+def test_certificate_check_survives_optimize():
+    # Under `python -O` a failing certificate must still raise, in every
+    # engine, instead of being returned as a verified "yes".
+    script = textwrap.dedent(
+        """
+        import edpkit.instance as instance
+        from edpkit.fracture import solve_fracture
+        from edpkit.graph import Multigraph
+        from edpkit.instance import CertificateError, EdpInstance, TerminalPair, Verdict
+        from edpkit.oracle import brute_force_edp
+        from edpkit.sedp import solve_sedp
+        from edpkit.twdp import solve_twdp
+
+        if __debug__:
+            raise SystemExit("not running under -O")
+        g = Multigraph(7, [(1, 2), (2, 3), (4, 5), (5, 6), (3, 7), (6, 7)])
+        inst = EdpInstance(g, (TerminalPair(1, 4),))
+        solvers = {
+            "sedp": lambda: solve_sedp(inst),
+            "twdp": lambda: solve_twdp(inst),
+            "fracture": lambda: solve_fracture(inst, kmax=4),
+            "brute": lambda: brute_force_edp(inst),
+        }
+        for name, solve in solvers.items():
+            if solve().status != "yes":
+                raise SystemExit(f"{name} does not answer yes")
+        instance.verify_solution = lambda inst, sol: Verdict(False, "forced failure")
+        for name, solve in solvers.items():
+            try:
+                result = solve()
+            except CertificateError as exc:
+                print(name, "raised", exc)
+            else:
+                print(name, "returned", result.status)
+        """
+    )
+    src = str(Path(edpkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split()[:2] for line in lines] == [[name, "raised"] for name in ("sedp", "twdp", "fracture", "brute")]
+    assert all("forced failure" in line for line in lines)

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from edpkit import sedp
 from edpkit.graph import Multigraph, find_fvs_one
 from edpkit.instance import EdpInstance, TerminalPair, verify_solution
 from edpkit.oracle import brute_force_edp
@@ -170,3 +171,19 @@ def test_runtime_smoke_large():
     assert result.is_yes
     assert verify_solution(inst, result.paths).ok
     assert elapsed < 10.0, f"star-of-paths took {elapsed:.1f}s"
+
+
+def test_labels_computed_once_per_forest_vertex(monkeypatch):
+    inst = star_of_paths(3000, 300)  # 300 cycles through the hub 1
+    prep = prepare_sedp(inst, 1)
+    assert len(prep.roots) >= 300
+    visited = []
+    real = sedp.compute_labels
+
+    def counting(prep, t, child_labels):
+        visited.append(t)
+        return real(prep, t, child_labels)
+
+    monkeypatch.setattr(sedp, "compute_labels", counting)
+    assert solve_sedp(inst, x=1).is_yes
+    assert sorted(visited) == sorted(prep.post_order)
