@@ -12,19 +12,20 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from edpkit.fracture import NoModulator, solve_fracture
+from edpkit.fracture import NoModulator, find_fracture_modulator, solve_fracture
 from edpkit.graph import Multigraph, find_fvs_one
 from edpkit.instance import (
     EdpInstance,
     MultiDemandInstance,
     ParseError,
     PathSet,
+    augmented_graph,
     normalize_instance,
     parse_instance,
     verify_solution,
     write_instance,
 )
-from edpkit.oracle import brute_force_edp, brute_force_multi, exhaustive_fracture_number
+from edpkit.oracle import brute_force_edp, brute_force_multi
 from edpkit.reductions import (
     MccInstance,
     audit_medp_components,
@@ -62,10 +63,14 @@ def parse_solution(text: str) -> tuple[str, PathSet]:
         elif line.startswith("path "):
             rest = line[len("path ") :]
             head, _, body = rest.partition(":")
-            idx = int(head)
+            try:
+                idx = int(head)
+                edges = tuple(int(tok) - 1 for tok in body.split())
+            except ValueError:
+                raise ParseError(line_no, f"malformed path line: {line!r}") from None
             if idx != len(paths) + 1:
                 raise ParseError(line_no, f"paths out of order (got {idx})")
-            paths.append(tuple(int(tok) - 1 for tok in body.split()))
+            paths.append(edges)
         else:
             raise ParseError(line_no, f"unknown solution line: {line!r}")
     if verdict not in ("yes", "no"):
@@ -73,9 +78,19 @@ def parse_solution(text: str) -> tuple[str, PathSet]:
     return verdict, PathSet(tuple(paths))
 
 
+def _read_ascii(path: str | Path) -> str:
+    """The text of an input file; a non-ASCII byte is a ParseError."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line_no, f"non-ASCII byte 0x{raw[exc.start]:02x}") from None
+
+
 def _solve_one(path: Path, args: argparse.Namespace) -> tuple[int, str]:
     try:
-        inst = parse_instance(path.read_text(encoding="ascii"))
+        inst = parse_instance(_read_ascii(path))
     except (OSError, ParseError) as exc:
         return EXIT_USAGE, f"{path}: {exc}"
     t0 = time.monotonic()
@@ -178,8 +193,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        inst = parse_instance(Path(args.instance).read_text(encoding="ascii"))
-        verdict, sol = parse_solution(Path(args.solution).read_text(encoding="ascii"))
+        inst = parse_instance(_read_ascii(args.instance))
+        verdict, sol = parse_solution(_read_ascii(args.solution))
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -199,7 +214,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     try:
-        inst = parse_instance(Path(args.file).read_text(encoding="ascii"))
+        inst = parse_instance(_read_ascii(args.file))
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -217,10 +232,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             print(f"fvs-one {probe.vertex}")
         else:
             print("fvs-one none")
-        from edpkit.instance import augmented_graph, normalize_instance
-
+        # A modulator of size <= k pads to one of size exactly k, so the
+        # least k the branching search accepts is the fracture number.
         aug = augmented_graph(normalize_instance(inst))
-        frac = exhaustive_fracture_number(aug, args.kmax)
+        frac = next(
+            (k for k in range(args.kmax + 1) if find_fracture_modulator(aug, k) is not None),
+            None,
+        )
         print(f"fracture-number {frac if frac is not None else f'> {args.kmax}'}")
     und = g if not g.directed else Multigraph(g.n, g.edges, directed=False)
     td = build_tree_decomposition(und)
@@ -235,7 +253,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         return EXIT_YES
     if args.generator == "mcc-pipeline":
         try:
-            mcc = parse_mcc(Path(args.file).read_text(encoding="ascii"))
+            mcc = parse_mcc(_read_ascii(args.file))
         except (OSError, ParseError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -248,7 +266,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         return EXIT_YES if all(res.audits.values()) else EXIT_UNKNOWN
     if args.generator == "medp":
         try:
-            base = parse_instance(Path(args.file).read_text(encoding="ascii"))
+            base = parse_instance(_read_ascii(args.file))
         except (OSError, ParseError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -285,16 +303,25 @@ def parse_mcc(text: str) -> MccInstance:
         if fields[0] == "p":
             if len(fields) != 5 or fields[1] != "mcc":
                 raise ParseError(line_no, f"malformed header: {line!r}")
-            n, m, k = int(fields[2]), int(fields[3]), int(fields[4])
+            try:
+                n, m, k = int(fields[2]), int(fields[3]), int(fields[4])
+            except ValueError:
+                raise ParseError(line_no, f"malformed header: {line!r}") from None
             seen_header = True
         elif fields[0] == "v":
             if not seen_header or len(fields) != 3:
                 raise ParseError(line_no, f"malformed part line: {line!r}")
-            part_of[int(fields[1])] = int(fields[2])
+            try:
+                part_of[int(fields[1])] = int(fields[2])
+            except ValueError:
+                raise ParseError(line_no, f"malformed part line: {line!r}") from None
         elif fields[0] == "e":
             if not seen_header or len(fields) != 3:
                 raise ParseError(line_no, f"malformed edge line: {line!r}")
-            edges.append((int(fields[1]), int(fields[2])))
+            try:
+                edges.append((int(fields[1]), int(fields[2])))
+            except ValueError:
+                raise ParseError(line_no, f"malformed edge line: {line!r}") from None
         else:
             raise ParseError(line_no, f"unknown line tag {fields[0]!r}")
     if not seen_header:
@@ -340,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="structural statistics of an instance")
     stats.add_argument("file")
-    stats.add_argument("--kmax", type=int, default=4, help="exhaustive fracture search bound")
+    stats.add_argument("--kmax", type=int, default=4, help="fracture modulator search bound (default 4)")
     stats.set_defaults(func=_cmd_stats)
 
     gen = sub.add_parser("gen", help="hard-instance generators")

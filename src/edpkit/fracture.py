@@ -43,14 +43,21 @@ class NoModulator(Exception):
 
 
 def _dfs_collect(g: Multigraph, start: int, limit: int, removed: set[int]) -> list[int]:
-    """First `limit` vertices of a deterministic DFS inside one component."""
+    """First `limit` vertices of a deterministic DFS inside one component.
+
+    Fewer than `limit` vertices come back only when the component of g -
+    removed holding `start` is that small, and then it is all of them.
+    """
     out = [start]
     seen = {start}
     stack = [start]
+    edges, incident = g.edges, g._incident
     while stack and len(out) < limit:
         v = stack.pop()
-        for e in sorted(g.incident(v)):
-            w = g.other_end(e, v)
+        # Incidence lists are in increasing edge-index order already.
+        for e in incident[v]:
+            a, b = edges[e]
+            w = b if a == v else a
             if w in seen or w in removed:
                 continue
             seen.add(w)
@@ -59,6 +66,32 @@ def _dfs_collect(g: Multigraph, start: int, limit: int, removed: set[int]) -> li
             if len(out) >= limit:
                 break
     return out
+
+
+def pack_connected_sets(g: Multigraph, size: int, removed: set[int], limit: int) -> list[list[int]]:
+    """Greedy packing of vertex-disjoint connected `size`-vertex sets of
+    g - removed, stopping once `limit` sets are found.
+
+    Each set is the _dfs_collect region from the lowest vertex not yet
+    used; a region that falls short is a whole component of what is left
+    and is set aside.  The first set is therefore the region that the
+    branching search collects in the oversized component of lowest id, and
+    no set at all means that every component has fewer than `size`
+    vertices.  Any vertex set whose removal leaves components below `size`
+    hits every packed set, so more than j sets refute a modulator of size j.
+    """
+    blocked = set(removed)
+    sets: list[list[int]] = []
+    for v in range(1, g.n + 1):
+        if v in blocked:
+            continue
+        region = _dfs_collect(g, v, size, blocked)
+        blocked.update(region)
+        if len(region) == size:
+            sets.append(region)
+            if len(sets) >= limit:
+                break
+    return sets
 
 
 def _pad_to_valid(g: Multigraph, x: set[int], forbidden: frozenset[int]) -> set[int]:
@@ -83,6 +116,9 @@ def find_fracture_modulator(
 
     exact: branching on a connected set of k+1 vertices of any oversized
     component (every modulator must hit it); the verdict None is exact.
+    Each branch node first packs disjoint connected sets of k+1 vertices
+    and gives up when more of them fit than deletions remain, so a graph
+    far from any small modulator is refuted in one linear pass.
     approx: deletes the whole collected set instead of branching; output
     size is at most (k+1)k and None is only returned when no modulator of
     size <= k exists.  `forbidden` vertices are never picked (used for
@@ -92,24 +128,17 @@ def find_fracture_modulator(
     if mode not in ("exact", "approx"):
         raise ValueError(f"unknown mode: {mode}")
     cap = k
-
-    def oversized(removed: set[int]) -> list[set[int]]:
-        return sorted(
-            (c for c in components_excluding(g, removed) if len(c) > cap),
-            key=min,
-        )
-
     if mode == "exact":
 
         def search(removed: set[int], budget: int) -> set[int] | None:
-            comps = oversized(removed)
-            if not comps:
+            # Every modulator hits each packed set, so more than `budget`
+            # of them refute this branch before it is expanded.
+            packed = pack_connected_sets(g, cap + 1, removed, budget + 1)
+            if not packed:
                 return set()
-            if budget <= 0:
+            if len(packed) > budget:
                 return None
-            comp = comps[0]
-            region = _dfs_collect(g, min(comp), cap + 1, removed)
-            for v in sorted(region):
+            for v in sorted(packed[0]):
                 if v in forbidden:
                     continue
                 sub = search(removed | {v}, budget - 1)
@@ -122,7 +151,10 @@ def find_fracture_modulator(
         removed: set[int] = set()
         levels = k
         while True:
-            comps = oversized(removed)
+            comps = sorted(
+                (c for c in components_excluding(g, removed) if len(c) > cap),
+                key=min,
+            )
             if not comps:
                 found = set(removed)
                 break

@@ -118,7 +118,21 @@ def connected_components(g: Multigraph) -> list[set[int]]:
     Edge direction is ignored.  Components are ordered by their smallest
     vertex id.
     """
+    return components_excluding(g, ())
+
+
+def components_excluding(g: Multigraph, removed: Iterable[int]) -> list[set[int]]:
+    """Connected components of g minus a vertex set, removed vertices omitted.
+
+    One traversal of g that steps over the removed vertices, without
+    building the subgraph.  Edge direction is ignored; components are
+    ordered by their smallest vertex id.
+    """
     seen = [False] * (g.n + 1)
+    for v in removed:
+        if 1 <= v <= g.n:
+            seen[v] = True
+    edges, incident = g.edges, g._incident
     comps: list[set[int]] = []
     for start in range(1, g.n + 1):
         if seen[start]:
@@ -128,21 +142,15 @@ def connected_components(g: Multigraph) -> list[set[int]]:
         stack = [start]
         while stack:
             v = stack.pop()
-            for e in g.incident(v):
-                w = g.other_end(e, v)
+            for e in incident[v]:
+                a, b = edges[e]
+                w = b if a == v else a
                 if not seen[w]:
                     seen[w] = True
                     comp.add(w)
                     stack.append(w)
         comps.append(comp)
     return comps
-
-
-def components_excluding(g: Multigraph, removed: Iterable[int]) -> list[set[int]]:
-    """Connected components of g minus a vertex set, removed vertices omitted."""
-    gone = set(removed)
-    sub = g.without_vertices(gone)
-    return [c for c in connected_components(sub) if not c <= gone]
 
 
 def is_forest(g: Multigraph) -> bool:

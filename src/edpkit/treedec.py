@@ -9,7 +9,7 @@ overshoot the optimum.
 
 from __future__ import annotations
 
-import sys
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -88,9 +88,8 @@ def build_tree_decomposition(g: Multigraph, k: int | None = None) -> TreeDecompo
         order, width = _exact_elimination_order(g)
         if k is not None and width > k:
             raise WidthExceeded(f"treewidth {width} exceeds target {k}")
-    else:
-        order = _min_fill_order(g)
-    return _decomposition_from_order(g, order)
+        return _decomposition_from_order(g, order)
+    return _tree_from_bags(*_min_fill_elimination(g))
 
 
 def _neighbor_masks(g: Multigraph) -> list[int]:
@@ -168,41 +167,67 @@ def _exact_elimination_order(g: Multigraph) -> tuple[list[int], int]:
 
 
 def _min_fill_order(g: Multigraph) -> list[int]:
+    return _min_fill_elimination(g)[0]
+
+
+def _min_fill_elimination(g: Multigraph) -> tuple[list[int], list[frozenset[int]]]:
+    """Greedy min-fill elimination order, ties going to the lowest id, with
+    each vertex's bag: itself and its neighbours when it is eliminated.
+
+    Fill counts (missing edges among a vertex's neighbours) live in a heap
+    keyed by (fill, v) with lazy deletion (Bodlaender & Koster, Treewidth
+    computations I, 2010).  Eliminating v turns N(v) into a clique, which
+    changes the count only at v's neighbours and at the common neighbours
+    of each fill edge it adds, so only those are updated.
+    """
     adj: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
     for u, v in g.edges:
         adj[u].add(v)
         adj[v].add(u)
+    fill = {}
+    for v, nb in adj.items():
+        d = len(nb)
+        fill[v] = d * (d - 1) // 2 - sum(len(adj[a] & nb) for a in nb) // 2
+    heap = [(f, v) for v, f in fill.items()]
+    heapq.heapify(heap)
     order = []
-    remaining = set(range(1, g.n + 1))
-    while remaining:
-        best_v, best_fill = -1, None
-        for v in sorted(remaining):
-            nb = adj[v]
-            fill = 0
-            nb_list = sorted(nb)
-            for i, a in enumerate(nb_list):
-                for b in nb_list[i + 1 :]:
-                    if b not in adj[a]:
-                        fill += 1
-            if best_fill is None or fill < best_fill:
-                best_v, best_fill = v, fill
-        nb_list = sorted(adj[best_v])
-        for i, a in enumerate(nb_list):
-            for b in nb_list[i + 1 :]:
-                adj[a].add(b)
-                adj[b].add(a)
-        for a in nb_list:
-            adj[a].discard(best_v)
-        del adj[best_v]
-        remaining.discard(best_v)
-        order.append(best_v)
-    return order
+    bags = []
+    while heap:
+        f, v = heapq.heappop(heap)
+        if v not in adj or fill[v] != f:
+            continue
+        nb = adj.pop(v)
+        order.append(v)
+        bags.append(frozenset(nb) | {v})
+        for a in nb:
+            adj[a].discard(v)
+        nb_list = sorted(nb)
+        missing = [(a, b) for i, a in enumerate(nb_list) for b in nb_list[i + 1 :] if b not in adj[a]]
+        changed = set(nb)
+        # A neighbour a loses the missing pairs (v, x) for x outside N[v]
+        # and gains (f, x) for each new neighbour f not adjacent to x.
+        outside = {a: adj[a] - nb for a in nb}
+        for a in nb:
+            fill[a] -= len(outside[a])
+        for a, b in missing:
+            fill[a] += len(outside[a] - adj[b])
+            fill[b] += len(outside[b] - adj[a])
+        # Every vertex adjacent to both ends of a fill edge loses that pair.
+        for a, b in missing:
+            for w in adj[a] & adj[b]:
+                fill[w] -= 1
+                changed.add(w)
+        for a, b in missing:
+            adj[a].add(b)
+            adj[b].add(a)
+        for w in changed:
+            heapq.heappush(heap, (fill[w], w))
+    return order, bags
 
 
 def _decomposition_from_order(g: Multigraph, order: list[int]) -> TreeDecomposition:
     """Standard bag construction: bag(v) = {v} + later neighbors in the
-    fill-in graph; v's node hangs off the node of its earliest later bag
-    member."""
+    fill-in graph."""
     n = g.n
     pos = {v: i for i, v in enumerate(order)}
     adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
@@ -218,6 +243,14 @@ def _decomposition_from_order(g: Multigraph, order: list[int]) -> TreeDecomposit
             for b in later_list[a_i + 1 :]:
                 adj[a].add(b)
                 adj[b].add(a)
+    return _tree_from_bags(order, bags)
+
+
+def _tree_from_bags(order: list[int], bags: list[frozenset[int]]) -> TreeDecomposition:
+    """Bag i belongs to order[i]; its node hangs off the node of its
+    earliest later bag member."""
+    n = len(order)
+    pos = {v: i for i, v in enumerate(order)}
     parent = [-1] * n
     for i, v in enumerate(order):
         rest = [pos[w] for w in bags[i] if w != v]
@@ -322,13 +355,10 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
             idx = emit("introduce", frozenset(cur), (idx,), v)
         return idx
 
-    children = td.children()
-    root = next(i for i, p in enumerate(td.parent) if p < 0)
-
-    def build(i: int) -> int:
+    def close(i: int, built: list[int]) -> int:
+        """Emit node i's own nodes once its children's chains are built."""
         bag = td.bags[i]
-        kids = children[i]
-        if not kids:
+        if not built:
             if not bag:
                 # An empty original leaf: start anywhere and forget again so
                 # the chain tops out at the recorded (empty) bag.
@@ -336,19 +366,31 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
                 idx = start_leaf(frozenset({w}))
                 return emit("forget", frozenset(), (idx,), w)
             return start_leaf(bag)
-        built = []
-        for c in kids:
-            sub = build(c)
-            built.append(chain_to(td.bags[c], bag, sub))
         while len(built) > 1:
             a = built.pop()
             b = built.pop()
             built.append(emit("join", bag, (b, a)))
         return built[0]
 
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * len(td.bags) + 1000))
-    top = build(root)
-    top = chain_to(td.bags[root], frozenset(), top)
+    # Depth-first over the decomposition with an explicit stack, emitting
+    # each child's subtree and chain before its next sibling, so deep
+    # decompositions need no recursion.
+    children = td.children()
+    root = next(i for i, p in enumerate(td.parent) if p < 0)
+    stack = [(root, iter(children[root]), [])]
+    while True:
+        i, kids, built = stack[-1]
+        c = next(kids, None)
+        if c is not None:
+            stack.append((c, iter(children[c]), []))
+            continue
+        stack.pop()
+        top = close(i, built)
+        if not stack:
+            break
+        parent = stack[-1][0]
+        stack[-1][2].append(chain_to(td.bags[i], td.bags[parent], top))
+    chain_to(td.bags[root], frozenset(), top)
     return NiceTreeDecomposition(nodes)
 
 

@@ -10,6 +10,7 @@ import os
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from edpkit.graph import Multigraph, find_fvs_one
 from edpkit.instance import EdpInstance, TerminalPair, augmented_graph, normalize_instance
@@ -39,6 +40,26 @@ def random_multigraph(rng, max_n=8, max_m=12, parallel=0.2, directed=False):
         if rng.random() < parallel:
             edges.append((a, b))
     return Multigraph(n, edges, directed=directed)
+
+
+@st.composite
+def multigraphs(draw, max_n=9, max_edges=14):
+    """Small multigraphs with parallel edges, isolated vertices and
+    several components."""
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return Multigraph(n, [])
+    edge = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(edge, max_size=max_edges))
+    doubled = draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []
+    return Multigraph(n, edges + doubled)
+
+
+def grid_graph(w, h):
+    """The w x h grid, vertex r*w + c + 1."""
+    edges = [(v, v + 1) for v in range(1, w * h + 1) if v % w]
+    edges += [(v, v + w) for v in range(1, w * h - w + 1)]
+    return Multigraph(w * h, edges)
 
 
 def random_normalized_instance(rng, max_n=9, max_m=12, max_pairs=3):

@@ -1,11 +1,17 @@
 from pathlib import Path
 
-from edpkit import cli, sedp
+import networkx as nx
+import pytest
+from networkx.generators.atlas import graph_atlas_g
+
+from edpkit import cli, fracture, graph, oracle, reductions, sedp
 from edpkit.cli import EXIT_NO, EXIT_UNKNOWN, EXIT_USAGE, EXIT_YES, main, parse_mcc, parse_solution
 from edpkit.graph import find_fvs_one
-from edpkit.instance import write_instance
+from edpkit.graph import Multigraph
+from edpkit.instance import EdpInstance, ParseError, TerminalPair, write_instance
+from edpkit.oracle import exhaustive_fracture_number
 
-from conftest import star_of_paths
+from conftest import grid_graph, star_of_paths
 
 
 def write(tmp_path: Path, name: str, text: str) -> Path:
@@ -124,6 +130,51 @@ def test_stats(tmp_path, capsys):
     assert "fvs-one forest" in out
 
 
+def test_stats_fracture_number_matches_exhaustive(tmp_path, capsys):
+    graphs = [G for G in graph_atlas_g() if G.number_of_nodes() == 6 and nx.is_connected(G)]
+    assert len(graphs) == 112
+    path = tmp_path / "atlas.edp"
+    for G in graphs:
+        g = Multigraph(6, [(u + 1, v + 1) for u, v in G.edges()])
+        path.write_text(write_instance(EdpInstance(g, ())), encoding="ascii")
+        for kmax in (1, 4):
+            assert main(["stats", "--kmax", str(kmax), str(path)]) == EXIT_YES
+            lines = capsys.readouterr().out.splitlines()
+            truth = exhaustive_fracture_number(g, kmax)
+            want = f"fracture-number {truth if truth is not None else f'> {kmax}'}"
+            assert want in lines, (G.edges(), kmax)
+
+
+def test_auto_refutes_modulators_without_component_scans(tmp_path, monkeypatch, capsys):
+    # All of auto's probes fail on a 15x15 grid; the modulator search must
+    # refute each k by packing, without listing components per branch.
+    calls = []
+
+    def counting(g, removed):
+        calls.append(g.n)
+        return graph.components_excluding(g, removed)
+
+    for module in (fracture, oracle, reductions):
+        monkeypatch.setattr(module, "components_excluding", counting)
+    g = grid_graph(15, 15)
+    inst = write(tmp_path, "grid.edp", write_instance(EdpInstance(g, (TerminalPair(1, 225), TerminalPair(15, 211)))))
+    assert main(["solve", str(inst)]) == EXIT_YES
+    assert "[brute]" in capsys.readouterr().out
+    assert len(calls) <= 5
+
+
+def test_input_errors_exit_usage(tmp_path, capsys):
+    inst = write(tmp_path, "p4.edp", P4)
+    sol = write(tmp_path, "bad.sol", "s yes\npath x: 1\n")
+    assert main(["verify", str(inst), str(sol)]) == EXIT_USAGE
+    accented = tmp_path / "accented.edp"
+    accented.write_bytes(P4.replace("e 2 3", "c caf\xe9\ne 2 3").encode("latin-1"))
+    assert main(["solve", str(accented)]) == EXIT_USAGE
+    assert "line 3: non-ASCII byte 0xe9" in capsys.readouterr().out
+    with pytest.raises(ParseError):
+        parse_mcc("p mcc 2 x 2\n")
+
+
 def test_gen_sidon(capsys):
     assert main(["gen", "sidon", "4"]) == EXIT_YES
     assert capsys.readouterr().out.strip() == "0 11 24 34"
@@ -157,9 +208,6 @@ def test_usage_errors(tmp_path, capsys):
 
 
 def test_parse_mcc_errors():
-    import pytest
-    from edpkit.instance import ParseError
-
     with pytest.raises(ParseError):
         parse_mcc("v 1 1\n")
     with pytest.raises(ParseError):

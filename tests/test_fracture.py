@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
 from edpkit.fracture import (
@@ -8,7 +11,9 @@ from edpkit.fracture import (
     component_signature,
     config_demand,
     config_supply,
+    _dfs_collect,
     find_fracture_modulator,
+    pack_connected_sets,
     prepare_fracture,
     solve_fracture,
     terminal_free_modulator,
@@ -28,7 +33,7 @@ from edpkit.oracle import (
     fracture_modulator_valid,
 )
 
-from conftest import random_fractured_instance, random_normalized_instance
+from conftest import multigraphs, random_fractured_instance, random_normalized_instance
 from signature_oracle import signature_by_labeling
 
 
@@ -41,6 +46,42 @@ def test_modulator_examples():
     m3 = find_fracture_modulator(p9, 3)
     assert m3 is not None and m3.k <= 3 and fracture_modulator_valid(p9, m3.vertices)
     assert find_fracture_modulator(Multigraph(0, []), 2).vertices == frozenset()
+
+
+def avoiding_modulator_exists(g, cap, removed, budget, forbidden):
+    """Some S outside removed and forbidden, |S| <= budget, leaves every
+    component of g - removed - S with at most cap vertices."""
+    allowed = [v for v in range(1, g.n + 1) if v not in removed and v not in forbidden]
+    return any(
+        all(len(c) <= cap for c in components_excluding(g, removed | set(s)))
+        for j in range(budget + 1)
+        for s in combinations(allowed, j)
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(multigraphs(), st.integers(0, 3), st.data())
+def test_packing_never_refutes_a_modulator(g, k, data):
+    vertices = list(range(1, g.n + 1))
+    if exhaustive_fracture_number(g, k) is not None:
+        assert len(pack_connected_sets(g, k + 1, set(), k + 1)) <= k
+    # A branch node of the search with terminals forbidden: `removed` holds
+    # allowed vertices only, and `budget` deletions remain.
+    forbidden = data.draw(st.sets(st.sampled_from(vertices))) if vertices else set()
+    allowed = [v for v in vertices if v not in forbidden]
+    removed = data.draw(st.sets(st.sampled_from(allowed), max_size=k)) if allowed else set()
+    budget = k - len(removed)
+    packed = pack_connected_sets(g, k + 1, removed, budget + 1)
+    if avoiding_modulator_exists(g, k, removed, budget, forbidden):
+        assert len(packed) <= budget
+    # The first set is the region the branching rule collects, and none is
+    # packed exactly when no component of g - removed is oversized.
+    oversized = sorted((c for c in components_excluding(g, removed) if len(c) > k), key=min)
+    assert bool(packed) == bool(oversized)
+    if packed:
+        assert packed[0] == _dfs_collect(g, min(oversized[0]), k + 1, removed)
+    used = [v for s in packed for v in s]
+    assert len(used) == len(set(used)) and not set(used) & removed
 
 
 def test_modulator_approx_contract(rng):

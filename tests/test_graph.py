@@ -13,7 +13,7 @@ from edpkit.graph import (
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_multigraph, rng_for
+from conftest import multigraphs, random_multigraph, rng_for
 
 
 def brute_force_matchings(g):
@@ -95,19 +95,6 @@ def test_find_fvs_one_consistency(rng):
                 assert not is_forest(g.without_vertices([v]))
 
 
-@st.composite
-def multigraphs(draw):
-    """Small multigraphs with parallel edges, isolated vertices and
-    several components."""
-    n = draw(st.integers(0, 9))
-    if n < 2:
-        return Multigraph(n, [])
-    edge = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
-    edges = draw(st.lists(edge, max_size=14))
-    doubled = draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []
-    return Multigraph(n, edges + doubled)
-
-
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(multigraphs())
 def test_find_fvs_one_matches_definition(g):
@@ -164,3 +151,12 @@ def test_components_excluding():
     g = Multigraph(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
     assert components_excluding(g, [3]) == [{1, 2}, {4, 5}]
     assert components_excluding(g, [1, 2, 3, 4, 5]) == []
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(multigraphs(), st.sets(st.integers(1, 9)))
+def test_components_excluding_matches_subgraph(g, removed):
+    # Same components in the same order as the components of the subgraph
+    # g - removed, whose removed vertices are isolated placeholders.
+    sub = connected_components(g.without_vertices(removed))
+    assert components_excluding(g, removed) == [c for c in sub if not c <= removed]

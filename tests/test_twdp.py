@@ -1,4 +1,7 @@
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edpkit.graph import Multigraph
 from edpkit.instance import EdpInstance, TerminalPair, normalize_instance, verify_solution
@@ -9,7 +12,9 @@ from edpkit.treedec import (
     build_tree_decomposition,
     make_nice,
     _decomposition_from_order,
+    _min_fill_elimination,
     _min_fill_order,
+    _tree_from_bags,
 )
 from edpkit.twdp import (
     EMPTY_RECORD,
@@ -19,7 +24,8 @@ from edpkit.twdp import (
     solve_twdp,
 )
 
-from conftest import random_bounded_degree_instance, random_multigraph
+from conftest import grid_graph, multigraphs, random_bounded_degree_instance, random_multigraph
+from minfill_oracle import min_fill_order
 
 
 def test_decomposition_examples():
@@ -51,6 +57,36 @@ def test_make_nice_preserves_width_and_validity(rng):
         nice = make_nice(td)
         nice.validate(g)
         assert nice.width == td.width
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(multigraphs(max_n=30, max_edges=70))
+def test_min_fill_order_matches_full_rescan(g):
+    order = min_fill_order(g)
+    assert _min_fill_order(g) == order
+    # The bags kept during elimination are the ones rebuilt from the order.
+    assert _tree_from_bags(*_min_fill_elimination(g)) == _decomposition_from_order(g, order)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 15), st.integers(1, 15))
+def test_min_fill_order_matches_full_rescan_on_grids(w, h):
+    g = grid_graph(w, h)
+    order = min_fill_order(g)
+    assert _min_fill_order(g) == order
+    assert _tree_from_bags(*_min_fill_elimination(g)) == _decomposition_from_order(g, order)
+
+
+def test_make_nice_deep_path_keeps_recursion_limit():
+    bags = [frozenset({i, i + 1}) for i in range(1, 5001)]
+    parent = list(range(1, 5000)) + [-1]
+    limit = sys.getrecursionlimit()
+    nice = make_nice(TreeDecomposition(bags, parent))
+    assert sys.getrecursionlimit() == limit
+    # leaf + introduce, forget + introduce per further bag, two root forgets
+    assert len(nice.nodes) == 2 + 2 * 4999 + 2
+    assert nice.width == 1 and not nice.nodes[nice.root].bag
+    assert all(c < i for i, nd in enumerate(nice.nodes) for c in nd.children)
 
 
 def test_leaf_node_records():
