@@ -1,7 +1,7 @@
 """Command-line front end: solve, verify, gen, stats.
 
 Exit codes: 0 yes, 1 no, 2 unknown (budget or width/modulator refusals),
-64 usage or input errors.
+64 usage or input errors, 70 internal error (the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -41,6 +42,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 
 def _write_solution(path: Path, verdict: str, sol: PathSet | None) -> None:
@@ -398,6 +400,10 @@ def main(argv: list[str] | None = None) -> int:
     except NoModulator as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
+    except Exception:
+        # A crash must not exit with 1, which reads as "no".
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

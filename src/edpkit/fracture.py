@@ -12,6 +12,7 @@ back into explicit edge-disjoint paths.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
@@ -539,6 +540,19 @@ class SelectorProgram:
     class_configs: dict[str, list[Config]]
 
 
+def _net_demand(config: Config) -> Counter[tuple[int, int]]:
+    """Demanded minus supplied crossings of a configuration, keyed by the
+    modulator pair (lo, hi)."""
+    alpha, beta = config
+    net: Counter[tuple[int, int]] = Counter()
+    for trace in alpha:
+        for u, v in zip(trace, trace[1:]):
+            net[(u, v) if u < v else (v, u)] += 1
+    for key, count in beta:
+        net[key] -= count
+    return net
+
+
 def signature_class_key(sig: Signature) -> str:
     return repr(sorted(sig.keys()))
 
@@ -567,12 +581,12 @@ def build_selector_program(
         eq_rows.append((coeffs, len(class_members[key])))
     le_rows = []
     mod = sorted(x.vertices)
+    # A coefficient is config_demand - config_supply of the variable's
+    # configuration; each configuration is read once for all pairs.
+    balance = [_net_demand(cfg) for _, cfg in variables]
     for i, a in enumerate(mod):
         for b in mod[i + 1 :]:
-            coeffs = tuple(
-                config_demand(cfg, a, b) - config_supply(cfg, a, b)
-                for _, cfg in variables
-            )
+            coeffs = tuple(net.get((a, b), 0) for net in balance)
             if any(coeffs):
                 le_rows.append((coeffs, 0))
     program = IntegerProgram(lower, upper, tuple(eq_rows), tuple(le_rows))

@@ -5,7 +5,16 @@ import pytest
 from networkx.generators.atlas import graph_atlas_g
 
 from edpkit import cli, fracture, graph, oracle, reductions, sedp
-from edpkit.cli import EXIT_NO, EXIT_UNKNOWN, EXIT_USAGE, EXIT_YES, main, parse_mcc, parse_solution
+from edpkit.cli import (
+    EXIT_INTERNAL,
+    EXIT_NO,
+    EXIT_UNKNOWN,
+    EXIT_USAGE,
+    EXIT_YES,
+    main,
+    parse_mcc,
+    parse_solution,
+)
 from edpkit.graph import find_fvs_one
 from edpkit.graph import Multigraph
 from edpkit.instance import EdpInstance, ParseError, TerminalPair, write_instance
@@ -173,6 +182,17 @@ def test_input_errors_exit_usage(tmp_path, capsys):
     assert "line 3: non-ASCII byte 0xe9" in capsys.readouterr().out
     with pytest.raises(ParseError):
         parse_mcc("p mcc 2 x 2\n")
+
+
+def test_internal_error_exits_internal(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("engine bug")
+
+    monkeypatch.setattr(cli, "solve_sedp", broken)
+    inst = write(tmp_path, "p4.edp", P4)
+    assert main(["solve", str(inst)]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: engine bug" in err
 
 
 def test_gen_sidon(capsys):

@@ -250,6 +250,32 @@ def test_selector_program_examples():
     assert config_demand(cfg_supply, 6, 7) == 0 and config_supply(cfg_supply, 6, 7) == 1
 
 
+def test_selector_rows_are_demand_minus_supply(rng):
+    checked = 0
+    for _ in range(40):
+        inst = random_normalized_instance(rng, max_n=8, max_m=12, max_pairs=3)
+        aug = augmented_graph(inst)
+        k = exhaustive_fracture_number(aug, 3)
+        if k is None:
+            continue
+        x0 = find_fracture_modulator(aug, k, "exact")
+        if x0.vertices & inst.terminals:
+            x0 = terminal_free_modulator(inst, x0)
+        prep, x0, _ = prepare_fracture(inst, x0)
+        comps = sorted(components_excluding(augmented_graph(prep), x0.vertices), key=min)
+        sel = build_selector_program([component_signature(prep, c, x0) for c in comps], x0)
+        want = []
+        mod = sorted(x0.vertices)
+        for i, a in enumerate(mod):
+            for b in mod[i + 1 :]:
+                coeffs = tuple(config_demand(cfg, a, b) - config_supply(cfg, a, b) for _, cfg in sel.variables)
+                if any(coeffs):
+                    want.append((coeffs, 0))
+        assert sel.program.le_rows == tuple(want)
+        checked += bool(want)
+    assert checked >= 10
+
+
 def test_selector_program_empty():
     sel = build_selector_program([], FractureModulator(frozenset({1, 2})))
     assert solve_feasibility(sel.program) == ()
@@ -289,6 +315,29 @@ def test_oracle_agreement(rng):
         assert want.status == got.status, (inst.g.edges, inst.pairs)
         if got.is_yes:
             assert verify_solution(inst, got.paths).ok
+
+
+def test_approx_modulator_oracle_agreement(rng):
+    """The approximate modulator may refuse, but never changes a verdict.
+    The first instance's selector program has 27,428 variables."""
+    edges = [(3, 6), (9, 5), (6, 4), (3, 5), (1, 9), (7, 2), (2, 3), (7, 6), (4, 7), (5, 4), (1, 6), (9, 2), (2, 5), (6, 4), (8, 2)]
+    cases = [(EdpInstance(Multigraph(9, edges), (TerminalPair(5, 2), TerminalPair(4, 1))), 4)]
+    for i in range(90):
+        n = rng.randint(4, 8)
+        g = Multigraph(n, [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(3, 12))])
+        ends = rng.sample(range(1, n + 1), 4)
+        pairs = (TerminalPair(ends[0], ends[1]), TerminalPair(ends[2], ends[3]))[: rng.randint(1, 2)]
+        cases.append((EdpInstance(g, pairs), 1 + i % 3))
+    statuses = []
+    for inst, kmax in cases:
+        got = solve_fracture(inst, kmax, approx_modulator=True)
+        statuses.append(got.status)
+        if got.status != "modulator-exceeded":
+            assert got.status == brute_force_edp(inst).status, (inst.g.edges, inst.pairs, kmax)
+        if got.is_yes:
+            assert verify_solution(inst, got.paths).ok
+    assert statuses[0] == "yes"
+    assert set(statuses) == {"yes", "no", "modulator-exceeded"}
 
 
 def test_atlas_sample_agreement():

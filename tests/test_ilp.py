@@ -1,8 +1,16 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import edpkit
 from edpkit.ilp import IntegerProgram, solve_feasibility
+from ilp_oracle import solve_feasibility as oracle_feasibility
 
 
 def brute(prog):
@@ -68,3 +76,65 @@ def test_agreement_with_enumeration(rng):
             assert all(
                 sum(c * z for c, z in zip(coeffs, got)) <= rhs for coeffs, rhs in les
             )
+
+
+@st.composite
+def programs(draw, max_vars=7):
+    p = draw(st.integers(0, max_vars))
+    lower = draw(st.lists(st.integers(-2, 1), min_size=p, max_size=p))
+    upper = [lo + draw(st.integers(0, 3)) for lo in lower]
+    row = st.tuples(
+        st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3)), min_size=p, max_size=p).map(tuple),
+        st.integers(-4, 6),
+    )
+    eqs = draw(st.lists(row, max_size=3))
+    les = draw(st.lists(row, max_size=4))
+    return IntegerProgram(tuple(lower), tuple(upper), tuple(eqs), tuple(les))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(programs())
+def test_same_point_as_plain_search(prog):
+    assert solve_feasibility(prog) == oracle_feasibility(prog)
+
+
+def test_returns_first_point_of_enumeration(rng):
+    for _ in range(600):
+        p = rng.randint(1, 5)
+        lower = tuple(rng.randint(-2, 1) for _ in range(p))
+        upper = tuple(lo + rng.randint(0, 3) for lo in lower)
+        rows = [
+            (tuple(rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(p)), rng.randint(-4, 6))
+            for _ in range(rng.randint(0, 5))
+        ]
+        split = rng.randint(0, len(rows))
+        prog = IntegerProgram(lower, upper, tuple(rows[:split]), tuple(rows[split:]))
+        assert solve_feasibility(prog) == brute(prog)
+
+
+def test_long_program_needs_no_recursion():
+    limit = sys.getrecursionlimit()
+    prog = IntegerProgram((0,) * 2000, (1,) * 2000, eq_rows=(((1,) * 2000, 2000),))
+    assert solve_feasibility(prog) == (1,) * 2000
+    prog = IntegerProgram((0,) * 2000, (1,) * 2000, eq_rows=(((1,) * 2000, 1000),))
+    assert solve_feasibility(prog) == (0,) * 1000 + (1,) * 1000
+    assert sys.getrecursionlimit() == limit
+
+
+def test_failed_suffixes_are_not_searched_again():
+    # Sum z = 15 and sum z <= 14 over 30 binaries: every partial sum vector
+    # fails once, so the memo answers in about n^2 steps, where walking
+    # every assignment with at most 15 ones would take many minutes.
+    script = textwrap.dedent(
+        """
+        from edpkit.ilp import IntegerProgram, solve_feasibility
+        n = 30
+        prog = IntegerProgram((0,) * n, (1,) * n, eq_rows=(((1,) * n, 15),), le_rows=(((1,) * n, 14),))
+        print(solve_feasibility(prog))
+        """
+    )
+    src = str(Path(edpkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "None"
