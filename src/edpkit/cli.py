@@ -10,7 +10,6 @@ import argparse
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from edpkit.fracture import NoModulator, find_fracture_modulator, solve_fracture
@@ -20,6 +19,7 @@ from edpkit.instance import (
     MultiDemandInstance,
     ParseError,
     PathSet,
+    SolveResult,
     augmented_graph,
     normalize_instance,
     parse_instance,
@@ -96,32 +96,33 @@ def _solve_one(path: Path, args: argparse.Namespace) -> tuple[int, str]:
     except (OSError, ParseError) as exc:
         return EXIT_USAGE, f"{path}: {exc}"
     t0 = time.monotonic()
-    engine = args.engine
-    verdict = "unknown"
-    reason = ""
-    sol: PathSet | None = None
     if isinstance(inst, MultiDemandInstance):
-        if engine not in ("auto", "brute"):
-            return EXIT_USAGE, f"{path}: engine {engine} handles plain EDP instances only"
-        result = brute_force_multi(inst, budget=args.budget)
-        verdict = result.status if result.status != "budget" else "unknown"
-        reason = "budget exceeded" if result.status == "budget" else ""
-        engine_used = "brute"
+        if args.engine not in ("auto", "brute"):
+            return EXIT_USAGE, f"{path}: engine {args.engine} handles plain EDP instances only"
+        engine_used, result, reason = "brute", brute_force_multi(inst, budget=args.budget), ""
     else:
-        engine_used, verdict, reason, sol = _solve_edp(inst, engine, args)
+        engine_used, result, reason = _solve_edp(inst, args.engine, args)
     elapsed = time.monotonic() - t0
-    if verdict == "yes" and sol is not None:
+    verdict = result.status if result.status in ("yes", "no") else "unknown"
+    if not reason:
+        reason = {
+            "budget": "budget exceeded",
+            "modulator-exceeded": f"no fracture modulator of size <= {args.kmax}",
+        }.get(result.status, "")
+    # Multi-demand paths serve expanded demands, not the pairs of a solution file.
+    if result.is_yes and isinstance(inst, EdpInstance):
         out = Path(args.solution) if args.solution else path.with_suffix(path.suffix + ".sol")
-        _write_solution(out, "yes", sol)
+        _write_solution(out, "yes", result.paths)
         reason = f"solution written to {out}"
     summary = f"{path}: s {verdict} [{engine_used}] {elapsed:.2f}s" + (f" ({reason})" if reason else "")
     code = {"yes": EXIT_YES, "no": EXIT_NO}.get(verdict, EXIT_UNKNOWN)
     return code, summary
 
 
-def _solve_edp(
-    inst: EdpInstance, engine: str, args: argparse.Namespace
-) -> tuple[str, str, str, PathSet | None]:
+def _solve_edp(inst: EdpInstance, engine: str, args: argparse.Namespace) -> tuple[str, SolveResult, str]:
+    """The engine that answered, its result, and a reason that replaces the
+    one its status implies.  An engine's refusal (NotFvsOne, WidthExceeded)
+    comes back as status "unknown" with its message as the reason."""
     x: int | None = None
     if engine == "auto":
         probe = find_fvs_one(inst.g)
@@ -135,24 +136,15 @@ def _solve_edp(
         else:
             result = solve_fracture(inst, kmax=args.kmax)
             if result.status != "modulator-exceeded":
-                return (
-                    "fracture",
-                    result.status,
-                    "",
-                    result.paths,
-                )
+                return "fracture", result, ""
             engine = "twdp"
     if engine == "sedp":
         try:
-            r = solve_sedp(inst, x=x)
-            return "sedp", r.status, "", r.paths
+            return "sedp", solve_sedp(inst, x=x), ""
         except NotFvsOne as exc:
-            return "sedp", "unknown", str(exc), None
+            return "sedp", SolveResult("unknown"), str(exc)
     if engine == "fracture":
-        r = solve_fracture(inst, kmax=args.kmax)
-        if r.status == "modulator-exceeded":
-            return "fracture", "unknown", f"no fracture modulator of size <= {args.kmax}", None
-        return "fracture", r.status, "", r.paths
+        return "fracture", solve_fracture(inst, kmax=args.kmax), ""
     if engine == "twdp":
         try:
             if args.engine == "auto":
@@ -164,30 +156,20 @@ def _solve_edp(
                 cap = args.width_limit if args.width_limit is not None else 8
                 if td.width > cap:
                     b = brute_force_edp(inst, budget=args.budget)
-                    verdict = b.status if b.status != "budget" else "unknown"
-                    return "brute", verdict, f"width {td.width} over auto cap {cap}", b.paths
-                r = solve_twdp(inst, decomposition=td)
-            else:
-                r = solve_twdp(inst, k=args.width_limit)
-            return "twdp", r.status, "", r.paths
+                    return "brute", b, f"width {td.width} over auto cap {cap}"
+                return "twdp", solve_twdp(inst, decomposition=td), ""
+            return "twdp", solve_twdp(inst, k=args.width_limit), ""
         except WidthExceeded as exc:
-            return "twdp", "unknown", str(exc), None
+            return "twdp", SolveResult("unknown"), str(exc)
     if engine == "brute":
-        b = brute_force_edp(inst, budget=args.budget)
-        verdict = b.status if b.status != "budget" else "unknown"
-        return "brute", verdict, "budget exceeded" if b.status == "budget" else "", b.paths
+        return "brute", brute_force_edp(inst, budget=args.budget), ""
     raise ValueError(f"unknown engine {engine}")
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    paths = [Path(f) for f in args.files]
-    if args.jobs > 1 and len(paths) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda p: _solve_one(p, args), paths))
-    else:
-        results = [_solve_one(p, args) for p in paths]
     worst = 0
-    for code, summary in results:
+    for f in args.files:
+        code, summary = _solve_one(Path(f), args)
         print(summary)
         worst = max(worst, code)
     return worst
@@ -358,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--kmax", type=int, default=4, help="fracture modulator size bound (default 4)")
     solve.add_argument("--width-limit", type=int, default=None, help="treewidth target for twdp")
     solve.add_argument("--budget", type=int, default=10**7, help="brute-force node budget (default 1e7)")
-    solve.add_argument("--jobs", type=int, default=1, help="solve multiple files concurrently")
     solve.add_argument("--solution", default=None, help="solution output path (default <file>.sol)")
     solve.set_defaults(func=_cmd_solve)
 

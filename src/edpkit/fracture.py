@@ -22,10 +22,13 @@ from edpkit.ilp import IntegerProgram, solve_feasibility
 from edpkit.instance import (
     EdpInstance,
     PathSet,
+    SolveResult,
     augmented_graph,
     certify,
+    map_paths,
     normalize_instance,
     shortcut_walk,
+    subdivide_edges,
 )
 from edpkit.oracle import fracture_modulator_valid
 
@@ -216,23 +219,16 @@ def buffer_terminals(inst: EdpInstance) -> tuple[EdpInstance, tuple[int, ...]]:
         raise ValueError("buffer_terminals expects a normalized instance")
     g = inst.g
     terminals = inst.terminals
-    new_edges: list[tuple[int, int]] = []
-    edge_map: list[int] = []
+    splits: dict[int, tuple[int, int]] = {}
     next_id = g.n
     for idx, (u, v) in enumerate(g.edges):
         if u in terminals or v in terminals:
-            term, other = (u, v) if u in terminals else (v, u)
             next_id += 1
-            new_edges.append((term, next_id))
-            edge_map.append(idx)
-            new_edges.append((next_id, other))
-            edge_map.append(idx)
-        else:
-            new_edges.append((u, v))
-            edge_map.append(idx)
+            splits[idx] = (u if u in terminals else v, next_id)
+    new_edges, edge_map = subdivide_edges(g.edges, splits)
     out = EdpInstance(Multigraph(next_id, new_edges), inst.pairs)
     assert out.normalized
-    return out, tuple(edge_map)
+    return out, edge_map
 
 
 def prepare_fracture(
@@ -244,22 +240,16 @@ def prepare_fracture(
     the source edge index (subdivision halves share their source)."""
     g = inst.g
     mod = x.vertices
-    new_edges: list[tuple[int, int]] = []
-    edge_map: list[int] = []
+    splits: dict[int, tuple[int, int]] = {}
     next_id = g.n
     for idx, (u, v) in enumerate(g.edges):
         if u in mod and v in mod:
             next_id += 1
-            new_edges.append((u, next_id))
-            edge_map.append(idx)
-            new_edges.append((next_id, v))
-            edge_map.append(idx)
-        else:
-            new_edges.append((u, v))
-            edge_map.append(idx)
+            splits[idx] = (u, next_id)
+    new_edges, edge_map = subdivide_edges(g.edges, splits)
     out = EdpInstance(Multigraph(next_id, new_edges), inst.pairs)
     assert out.normalized
-    return out, x, tuple(edge_map)
+    return out, x, edge_map
 
 
 # A trace is a tuple of distinct modulator vertices, length >= 2, stored in
@@ -593,17 +583,6 @@ def build_selector_program(
     return SelectorProgram(program, variables, class_members, class_configs)
 
 
-@dataclass(frozen=True)
-class FractureResult:
-    status: str  # "yes" | "no" | "modulator-exceeded"
-    paths: PathSet | None = None
-    modulator: FractureModulator | None = None
-
-    @property
-    def is_yes(self) -> bool:
-        return self.status == "yes"
-
-
 def _terminal_free_for(
     inst: EdpInstance, x0: FractureModulator, approx: bool
 ) -> FractureModulator | None:
@@ -624,7 +603,7 @@ def _terminal_free_for(
         return None
 
 
-def solve_fracture(inst: EdpInstance, kmax: int, approx_modulator: bool = False) -> FractureResult:
+def solve_fracture(inst: EdpInstance, kmax: int, approx_modulator: bool = False) -> SolveResult:
     """Decide the instance via the fracture pipeline; on yes return a
     verified PathSet.  Returns status "modulator-exceeded" when no fracture
     modulator of the augmented graph within kmax exists (exact search) or
@@ -641,7 +620,7 @@ def solve_fracture(inst: EdpInstance, kmax: int, approx_modulator: bool = False)
             if x0 is not None:
                 break
     if x0 is None:
-        return FractureResult("modulator-exceeded")
+        return SolveResult("modulator-exceeded")
 
     base = work
     rescue_map: tuple[int, ...] | None = None
@@ -668,7 +647,7 @@ def solve_fracture(inst: EdpInstance, kmax: int, approx_modulator: bool = False)
     selector = build_selector_program(signatures, x)
     assignment = solve_feasibility(selector.program)
     if assignment is None:
-        return FractureResult("no", modulator=x)
+        return SolveResult("no")
 
     # Distribute chosen configurations onto components, lowest id first.
     chosen: dict[int, Config] = {}
@@ -713,21 +692,9 @@ def solve_fracture(inst: EdpInstance, kmax: int, approx_modulator: bool = False)
             parts.extend(reversed(t_edges))
             walks[j] = tuple(parts)
 
-    mapped: list[tuple[int, ...]] = []
-    for j, p in enumerate(work.pairs):
-        raw = walks[j]
-        edges: list[int] = []
-        for e in raw:
-            src = edge_map[e]
-            if not edges or edges[-1] != src:
-                edges.append(src)
-        if rescue_map is not None:
-            unbuffered: list[int] = []
-            for e in edges:
-                src = rescue_map[e]
-                if not unbuffered or unbuffered[-1] != src:
-                    unbuffered.append(src)
-            edges = unbuffered
-        mapped.append(shortcut_walk(work.g, tuple(edges), p.s))
-    sol = PathSet(tuple(mapped))
-    return FractureResult("yes", certify("fracture", inst, work, sol), modulator=x)
+    # Mapping through the composed map equals mapping twice: a repeat that
+    # the first map would collapse is still a repeat under the second.
+    origin = edge_map if rescue_map is None else tuple(rescue_map[e] for e in edge_map)
+    mapped = map_paths((walks[j] for j in range(len(work.pairs))), origin)
+    sol = PathSet(tuple(shortcut_walk(work.g, w, p.s) for w, p in zip(mapped, work.pairs)))
+    return SolveResult("yes", certify("fracture", inst, work, sol))

@@ -7,7 +7,7 @@ semantic: solution files refer to pairs by position.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 from edpkit.graph import Multigraph
 
@@ -86,6 +86,21 @@ class PathSet:
     """One path per terminal pair, each a tuple of edge indices."""
 
     paths: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    """What every engine returns.  status is "yes" or "no", "budget" when a
+    brute-force oracle ran out of nodes, or "modulator-exceeded" when the
+    fracture pipeline found no modulator within its bound; paths is the
+    verified solution on yes."""
+
+    status: str
+    paths: PathSet | None = None
+
+    @property
+    def is_yes(self) -> bool:
+        return self.status == "yes"
 
 
 @dataclass(frozen=True)
@@ -248,21 +263,61 @@ def normalize_instance(inst: EdpInstance) -> EdpInstance:
 
 
 def denormalize_paths(original: EdpInstance, sol: PathSet) -> PathSet:
-    """Map a solution of normalize_instance(original) back onto original.
+    """Map a verified solution of normalize_instance(original) back onto
+    original.
 
-    Normalization only appends leaf edges (indices >= original edge count)
-    at path ends, so stripping them recovers paths of the original instance.
+    Normalization keeps the original edges and appends at most one leaf edge
+    per terminal occurrence; those leaf edges sit at path ends and are
+    dropped.
     """
     m = original.g.m
-    stripped = []
-    for path in sol.paths:
-        core = list(path)
-        while core and core[0] >= m:
-            core.pop(0)
-        while core and core[-1] >= m:
-            core.pop()
-        stripped.append(tuple(core))
-    return PathSet(tuple(stripped))
+    origin = tuple(range(m)) + (None,) * (2 * len(original.pairs))
+    return PathSet(map_paths(sol.paths, origin))
+
+
+def subdivide_edges(
+    edges: Sequence[tuple[int, int]], splits: Mapping[int, tuple[int, int]]
+) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
+    """Split edges through fresh midpoints.
+
+    splits maps an edge index to (near, mid): that edge {near, far} becomes
+    (near, mid) followed by (mid, far); every other edge is kept as it is.
+    Returns the new edge list and, per new edge, the index of the edge it
+    came from, in the form map_paths reads.
+    """
+    new_edges: list[tuple[int, int]] = []
+    origin: list[int] = []
+    for idx, edge in enumerate(edges):
+        if idx in splits:
+            near, mid = splits[idx]
+            u, v = edge
+            new_edges.append((near, mid))
+            new_edges.append((mid, v if near == u else u))
+            origin.extend((idx, idx))
+        else:
+            new_edges.append(edge)  # the same tuple: no allocation per kept edge
+            origin.append(idx)
+    return new_edges, tuple(origin)
+
+
+def map_paths(
+    paths: Iterable[Sequence[int]], origin: Sequence[int | None]
+) -> tuple[tuple[int, ...], ...]:
+    """Carry edge-index paths back through a rewrite.
+
+    origin[e] is the source edge of rewritten edge e, or None for an edge
+    the rewrite added.  None entries are dropped and consecutive repeats
+    (the halves of one subdivided edge) collapse into one edge.
+    """
+    mapped = []
+    for path in paths:
+        out: list[int] = []
+        for e in path:
+            src = origin[e]
+            if src is not None and (not out or out[-1] != src):
+                out.append(src)
+        mapped.append(tuple(out))
+    return tuple(mapped)
 
 
 def augmented_graph(inst: EdpInstance) -> Multigraph:

@@ -9,11 +9,10 @@ instances; a node budget turns runaway searches into an explicit
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import combinations
 
 from edpkit.graph import Multigraph, components_excluding
-from edpkit.instance import EdpInstance, MultiDemandInstance, PathSet, certify
+from edpkit.instance import EdpInstance, MultiDemandInstance, PathSet, SolveResult, certify
 
 DEFAULT_BUDGET = 10**7
 
@@ -22,14 +21,7 @@ class BudgetExceeded(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class BruteResult:
-    status: str  # "yes" | "no" | "budget"
-    paths: PathSet | None = None
-
-    @property
-    def is_yes(self) -> bool:
-        return self.status == "yes"
+BruteResult = SolveResult  # alias: the oracles return the shared result type
 
 
 def _route_all(
@@ -58,7 +50,6 @@ def _route_all(
     used = [False] * g.m
     chosen: list[tuple[int, ...]] = []
     nodes = 0
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 10000 + 10 * (g.m + len(demands))))
     residual = [g.degree(v) for v in range(g.n + 1)]
 
     # Strip forced chains off the demand endpoints: while an endpoint has a
@@ -281,24 +272,32 @@ def _route_all(
             endpoint_need[v] += amount
         return False
 
-    if route(0):
+    # The search recurses once per path edge; the limit is restored so that
+    # one large instance does not change it for the rest of the process.
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, 10000 + 10 * (g.m + len(demands))))
+    try:
+        found = route(0)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    if found:
         return [prefix[i] + chosen[i] + suffix[i] for i in range(len(demands))]
     return None
 
 
-def brute_force_edp(inst: EdpInstance, budget: int = DEFAULT_BUDGET) -> BruteResult:
+def brute_force_edp(inst: EdpInstance, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Exact EDP decision by backtracking; yes answers carry a verified PathSet."""
     demands = [(p.s, p.t) for p in inst.pairs]
     try:
         paths = _route_all(inst.g, demands, budget, directed=False)
     except BudgetExceeded:
-        return BruteResult("budget")
+        return SolveResult("budget")
     if paths is None:
-        return BruteResult("no")
-    return BruteResult("yes", certify("brute", inst, inst, PathSet(tuple(paths))))
+        return SolveResult("no")
+    return SolveResult("yes", certify("brute", inst, inst, PathSet(tuple(paths))))
 
 
-def brute_force_multi(inst: MultiDemandInstance, budget: int = DEFAULT_BUDGET) -> BruteResult:
+def brute_force_multi(inst: MultiDemandInstance, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Exact multi-demand decision; multiplicities expand into single demands.
 
     Arc direction is respected when the graph is directed.  The returned
@@ -319,20 +318,20 @@ def brute_force_multi(inst: MultiDemandInstance, budget: int = DEFAULT_BUDGET) -
     g = inst.g
     if g.directed:
         if any(g.out_degree(v) < need for v, need in out_need.items()):
-            return BruteResult("no")
+            return SolveResult("no")
         if any(g.in_degree(v) < need for v, need in in_need.items()):
-            return BruteResult("no")
+            return SolveResult("no")
     else:
         for v in set(out_need) | set(in_need):
             if g.degree(v) < out_need.get(v, 0) + in_need.get(v, 0):
-                return BruteResult("no")
+                return SolveResult("no")
     try:
         paths = _route_all(inst.g, demands, budget, directed=inst.g.directed)
     except BudgetExceeded:
-        return BruteResult("budget")
+        return SolveResult("budget")
     if paths is None:
-        return BruteResult("no")
-    return BruteResult("yes", PathSet(tuple(paths)))
+        return SolveResult("no")
+    return SolveResult("yes", PathSet(tuple(paths)))
 
 
 def fracture_modulator_valid(g: Multigraph, x: set[int] | frozenset[int]) -> bool:

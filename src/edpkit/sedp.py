@@ -18,10 +18,13 @@ from edpkit.graph import Multigraph, find_fvs_one, matching_max_cover
 from edpkit.instance import (
     EdpInstance,
     PathSet,
+    SolveResult,
     TerminalPair,
     certify,
+    map_paths,
     normalize_instance,
     shortcut_walk,
+    subdivide_edges,
 )
 
 
@@ -58,9 +61,6 @@ class SedpInstance:
     pair_of: dict[int, int]  # terminal -> pair index
     edge_origin: tuple[int | None, ...]  # prepared edge -> source edge index
 
-    def is_leaf(self, v: int) -> bool:
-        return not self.children[v]
-
 
 class NotFvsOne(ValueError):
     pass
@@ -72,8 +72,8 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
     Rejects inputs where g - x is not a forest.  The instance must be
     normalized.  New vertices are allocated deterministically: first a leaf
     replacing x as a terminal (if needed), then per-tree root leaves (trees
-    ordered by smallest vertex), then one gadget leaf per rewritten x-edge in
-    edge-index order.
+    ordered by smallest vertex), then one gadget leaf per rewritten x-edge,
+    ordered by the edge's forest endpoint and then by edge index.
     """
     g = inst.g
     if not (1 <= x <= g.n):
@@ -106,7 +106,6 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
     forest = list(trees.values())
 
     edges: list[tuple[int, int]] = list(g.edges)
-    origin: list[int | None] = list(range(g.m))
     pairs: list[TerminalPair] = list(inst.pairs)
     next_id = g.n
 
@@ -115,7 +114,6 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
         if x in p.members():
             next_id += 1
             edges.append((next_id, x))
-            origin.append(None)
             forest.append([next_id])
             other = p.t if p.s == x else p.s
             pairs[j] = TerminalPair(next_id, other) if p.s == x else TerminalPair(other, next_id)
@@ -139,7 +137,6 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
             anchor = next(v for v in comp if v not in terminals)
             next_id += 1
             edges.append((anchor, next_id))
-            origin.append(None)
             roots.append(next_id)
 
     # (1) x-edges may only reach forest leaves, one edge each.  Offending
@@ -157,29 +154,17 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
     # Multi-vertex tree roots are never x-adjacent by the selection rule
     # above, and a single-vertex tree's root is a forest leaf, so only the
     # degree and multiplicity conditions matter here.
-    rerouted: dict[int, int] = {}  # edge index -> gadget leaf id
+    rerouted: dict[int, tuple[int, int]] = {}  # edge index -> (forest end, gadget leaf)
     for n_vertex in sorted(x_edges_at):
         incident = x_edges_at[n_vertex]
         bad = tree_degree[n_vertex] >= 2 or len(incident) >= 2
         if bad:
             for e in incident:
                 next_id += 1
-                rerouted[e] = next_id
-    if rerouted:
-        new_edges: list[tuple[int, int]] = []
-        new_origin: list[int | None] = []
-        for idx, (u, v) in enumerate(edges):
-            if idx in rerouted:
-                leaf = rerouted[idx]
-                n_vertex = v if u == x else u
-                new_edges.append((n_vertex, leaf))
-                new_origin.append(origin[idx])
-                new_edges.append((leaf, x))
-                new_origin.append(origin[idx])
-            else:
-                new_edges.append((u, v))
-                new_origin.append(origin[idx])
-        edges, origin = new_edges, new_origin
+                rerouted[e] = (n_vertex, next_id)
+    edges, source = subdivide_edges(edges, rerouted)
+    # Edges past g.m are the leaves added above; they have no source edge.
+    origin = tuple(i if i < g.m else None for i in source)
 
     prepared_graph = Multigraph(next_id, edges, directed=False)
     prepared = EdpInstance(prepared_graph, tuple(pairs))
@@ -242,7 +227,7 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
         tree_of=tree_of,
         x_edge_of=x_edge_of,
         pair_of=pair_of,
-        edge_origin=tuple(origin),
+        edge_origin=origin,
     )
 
 
@@ -327,21 +312,25 @@ def compute_labels(prep: SedpInstance, t: int, child_labels: dict[int, LabelSet]
     gamma_x = deficiency < len(plan.v_x)
 
     ok_without: dict[int, bool] = {}
-
-    def deliverable_via(ti: int) -> bool:
-        if ti not in ok_without:
-            cover_i, _ = _max_cover(plan, exclude=ti)
-            neg = len(plan.v_neg) - (1 if ti in plan.v_neg else 0)
-            avail = len(plan.v_x) - (1 if ti in plan.v_x else 0)
-            ok_without[ti] = neg - cover_i <= avail
-        return ok_without[ti]
-
     pair_labels = set()
     for c in children:
         for p in labels[c].pair_labels:
-            if p not in pair_labels and deliverable_via(c):
+            if p in pair_labels:
+                continue
+            if c not in ok_without:
+                ok_without[c] = _deliverable_via(plan, c)
+            if ok_without[c]:
                 pair_labels.add(p)
     return LabelSet(gamma_empty, gamma_x, frozenset(pair_labels))
+
+
+def _deliverable_via(plan: _NodePlan, ti: int) -> bool:
+    """Whether child ti can deliver a terminal up to the node while the
+    other children's demands stay covered by matching or x-paths."""
+    cover_i, _ = _max_cover(plan, exclude=ti)
+    neg = len(plan.v_neg) - (1 if ti in plan.v_neg else 0)
+    avail = len(plan.v_x) - (1 if ti in plan.v_x else 0)
+    return neg - cover_i <= avail
 
 
 def labels_for_tree(prep: SedpInstance, root: int) -> dict[int, LabelSet]:
@@ -390,7 +379,7 @@ def _realize_tree(prep: SedpInstance, root: int, labels: dict[int, LabelSet]) ->
     modes: dict[int, str | int] = {root: "ge"}
     order: list[int] = []
     stack = [root]
-    plans: dict[int, dict] = {}
+    plans: dict[int, tuple] = {}  # node -> (matching, alpha, exclude, chosen_xpath)
     while stack:
         t = stack.pop()
         order.append(t)
@@ -403,11 +392,7 @@ def _realize_tree(prep: SedpInstance, root: int, labels: dict[int, LabelSet]) ->
         exclude: int | None = None
         if isinstance(mode, int):
             holders = sorted(c for c in children if mode in child_labels[c].pair_labels)
-            exclude = next(
-                c
-                for c in holders
-                if _pair_ok(plan, c)
-            )
+            exclude = next(c for c in holders if _deliverable_via(plan, c))
         cover, matching = _max_cover(plan, exclude)
         matched = {v for e in matching for v in e}
         unmatched_neg = sorted(v for v in plan.v_neg if v not in matched and v != exclude)
@@ -432,13 +417,7 @@ def _realize_tree(prep: SedpInstance, root: int, labels: dict[int, LabelSet]) ->
             child_mode[chosen_xpath] = "gx"
         for c in children:
             child_mode.setdefault(c, "ge")
-        plans[t] = {
-            "matching": matching,
-            "alpha": alpha,
-            "exclude": exclude,
-            "chosen_xpath": chosen_xpath,
-            "mode": mode,
-        }
+        plans[t] = (matching, alpha, exclude, chosen_xpath)
         for c in children:
             modes[c] = child_mode[c]
             stack.append(c)
@@ -450,42 +429,35 @@ def _realize_tree(prep: SedpInstance, root: int, labels: dict[int, LabelSet]) ->
         if not children:
             results[t] = _realize_leaf(prep, t, mode)
             continue
-        plan_data = plans[t]
+        matching, alpha, exclude, chosen_xpath = plans[t]
         out = _Realized()
         for c in children:
             sub = results[c]
             out.paths.extend(sub.paths)
         # Join matched deliveries through t.
-        for ci, cj in plan_data["matching"]:
+        for ci, cj in matching:
             si = results[ci].special
             sj = results[cj].special
             assert si is not None and sj is not None
             edges = si.edges + (_tree_edge(g, ci, t), _tree_edge(g, t, cj)) + sj.reversed().edges
             out.paths.append(_Path(edges, si.a, sj.a))
         # Route unmatched deliveries to x through their supplier.
-        for u, supplier in plan_data["alpha"].items():
+        for u, supplier in alpha.items():
             su = results[u].special
             sv = results[supplier].special
             assert su is not None and sv is not None
             edges = su.edges + (_tree_edge(g, u, t), _tree_edge(g, t, supplier)) + sv.reversed().edges
             out.paths.append(_Path(edges, su.a, sv.a))
-        if plan_data["exclude"] is not None:
-            sp = results[plan_data["exclude"]].special
+        if exclude is not None:
+            sp = results[exclude].special
             assert sp is not None
-            out.special = _Path(sp.edges + (_tree_edge(g, plan_data["exclude"], t),), sp.a, t)
-        if plan_data["chosen_xpath"] is not None:
-            sx = results[plan_data["chosen_xpath"]].special
+            out.special = _Path(sp.edges + (_tree_edge(g, exclude, t),), sp.a, t)
+        if chosen_xpath is not None:
+            sx = results[chosen_xpath].special
             assert sx is not None
-            out.special = _Path(sx.edges + (_tree_edge(g, plan_data["chosen_xpath"], t),), sx.a, t)
+            out.special = _Path(sx.edges + (_tree_edge(g, chosen_xpath, t),), sx.a, t)
         results[t] = out
     return results[root].paths
-
-
-def _pair_ok(plan: _NodePlan, ti: int) -> bool:
-    cover_i, _ = _max_cover(plan, exclude=ti)
-    neg = len(plan.v_neg) - (1 if ti in plan.v_neg else 0)
-    avail = len(plan.v_x) - (1 if ti in plan.v_x else 0)
-    return neg - cover_i <= avail
 
 
 def _realize_leaf(prep: SedpInstance, leaf: int, mode: str | int) -> _Realized:
@@ -507,17 +479,7 @@ def _realize_leaf(prep: SedpInstance, leaf: int, mode: str | int) -> _Realized:
     return out
 
 
-@dataclass(frozen=True)
-class SedpResult:
-    status: str  # "yes" | "no"
-    paths: PathSet | None = None
-
-    @property
-    def is_yes(self) -> bool:
-        return self.status == "yes"
-
-
-def solve_sedp(inst: EdpInstance, x: int | None = None) -> SedpResult:
+def solve_sedp(inst: EdpInstance, x: int | None = None) -> SolveResult:
     """Decide the instance and, on yes, return a verified solution.
 
     The instance is normalized internally if needed.  If x is not supplied,
@@ -534,14 +496,14 @@ def solve_sedp(inst: EdpInstance, x: int | None = None) -> SedpResult:
         else:
             raise NotFvsOne("no single feedback vertex exists")
     if x is None:  # empty graph
-        return SedpResult("yes", PathSet(()))
+        return SolveResult("yes", PathSet(()))
 
     prep = prepare_sedp(work, x)
     tree_labels: dict[int, LabelSet] = {}
     for root in prep.roots:
         labels = labels_for_tree(prep, root)
         if not labels[root].gamma_empty:
-            return SedpResult("no")
+            return SolveResult("no")
         tree_labels.update(labels)
 
     all_paths: list[_Path] = []
@@ -567,15 +529,5 @@ def solve_sedp(inst: EdpInstance, x: int | None = None) -> SedpResult:
             walk = to_x + from_x
         prepared_paths.append(shortcut_walk(g, tuple(walk), p.s))
 
-    normalized_paths = []
-    for walk in prepared_paths:
-        mapped: list[int] = []
-        for e in walk:
-            src = prep.edge_origin[e]
-            if src is None:
-                continue
-            if not mapped or mapped[-1] != src:
-                mapped.append(src)
-        normalized_paths.append(tuple(mapped))
-    sol = PathSet(tuple(normalized_paths))
-    return SedpResult("yes", certify("sedp", inst, work, sol))
+    sol = PathSet(map_paths(prepared_paths, prep.edge_origin))
+    return SolveResult("yes", certify("sedp", inst, work, sol))

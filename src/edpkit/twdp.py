@@ -25,6 +25,7 @@ from edpkit.graph import Multigraph
 from edpkit.instance import (
     EdpInstance,
     PathSet,
+    SolveResult,
     certify,
     normalize_instance,
 )
@@ -269,16 +270,6 @@ def _join_via_edge(p1: Path, p2: Path, e: int, u: int, w: int) -> Path | None:
     return _mk_path(edges1 + (e,) + edges2, start1, end2, v1 | v2)
 
 
-@dataclass(frozen=True)
-class TwdpResult:
-    status: str  # "yes" | "no"
-    paths: PathSet | None = None
-
-    @property
-    def is_yes(self) -> bool:
-        return self.status == "yes"
-
-
 def record_space_bound(bag_size: int, delta: int, open_terminals: int) -> int:
     """Instantiated size bound for one table, from the record shape."""
     pairs = bag_size * (bag_size - 1) // 2
@@ -366,7 +357,7 @@ def solve_twdp(
     inst: EdpInstance,
     k: int | None = None,
     decomposition: TreeDecomposition | None = None,
-) -> TwdpResult:
+) -> SolveResult:
     """Decide the instance; on yes return a verified PathSet.
 
     k is a treewidth target: on small graphs a proven excess raises
@@ -377,7 +368,7 @@ def solve_twdp(
     work = normalize_instance(inst)
     g = work.g
     if g.n == 0:
-        return TwdpResult("yes", PathSet(()))
+        return SolveResult("yes", PathSet(()))
     td = decomposition if decomposition is not None else build_tree_decomposition(g, k)
     nice = make_nice(td)
     tables, _, _ = compute_tables(work, nice)
@@ -385,7 +376,7 @@ def solve_twdp(
     root_table = tables[nice.root]
     witness = root_table.records.get(EMPTY_RECORD)
     if witness is None:
-        return TwdpResult("no")
+        return SolveResult("no")
     by_terminal: dict[int, Path] = {}
     for path in witness:
         _, a, b, _ = path
@@ -397,4 +388,4 @@ def solve_twdp(
         edges, a, b, _ = path
         out_paths.append(edges if a == p.s else tuple(reversed(edges)))
     sol = PathSet(tuple(out_paths))
-    return TwdpResult("yes", certify("twdp", inst, work, sol))
+    return SolveResult("yes", certify("twdp", inst, work, sol))

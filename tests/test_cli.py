@@ -107,7 +107,7 @@ def test_auto_probes_feedback_vertex_once(tmp_path, monkeypatch):
 def test_solve_multiple_files_with_jobs(tmp_path, capsys):
     a = write(tmp_path, "a.edp", P4)
     b = write(tmp_path, "b.edp", NO_INSTANCE)
-    code = main(["solve", "--jobs", "2", str(a), str(b)])
+    code = main(["solve", str(a), str(b)])
     assert code == EXIT_NO  # worst outcome
     out = capsys.readouterr().out
     assert "a.edp" in out and "b.edp" in out

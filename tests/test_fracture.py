@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
+from edpkit import fracture
 from edpkit.fracture import (
     FractureModulator,
     build_selector_program,
@@ -338,6 +339,40 @@ def test_approx_modulator_oracle_agreement(rng):
             assert verify_solution(inst, got.paths).ok
     assert statuses[0] == "yes"
     assert set(statuses) == {"yes", "no", "modulator-exceeded"}
+
+
+def test_terminal_buffering_rescue(monkeypatch, rng):
+    """When no terminal-free modulator can be valid, solve_fracture buffers
+    the terminals, searches again and maps paths back through the
+    subdivision map composed with the buffering map.  About one random
+    instance in 90 below takes that branch; the path 1-2-3 with pair (3, 1)
+    always does."""
+    real = fracture.buffer_terminals
+    buffered = []
+
+    def spy(inst):
+        buffered.append(inst)
+        return real(inst)
+
+    monkeypatch.setattr(fracture, "buffer_terminals", spy)
+    cases = [EdpInstance(Multigraph(3, [(1, 2), (2, 3)]), (TerminalPair(3, 1),))]
+    for _ in range(4000):
+        n = rng.randint(2, 6)
+        g = Multigraph(n, [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(1, 4))])
+        ends = rng.sample(range(1, n + 1), 2 * rng.randint(1, n // 2))
+        cases.append(EdpInstance(g, tuple(TerminalPair(*ends[i : i + 2]) for i in range(0, len(ends), 2))))
+    rescued = 0
+    for i, inst in enumerate(cases):
+        before = len(buffered)
+        got = solve_fracture(inst, 2)
+        if len(buffered) == before:
+            assert i > 0, "the path 1-2-3 must take the rescue branch"
+            continue
+        rescued += 1
+        assert got.status == brute_force_edp(inst).status, (inst.g.edges, inst.pairs)
+        if got.is_yes:
+            assert verify_solution(inst, got.paths).ok
+    assert rescued >= 20
 
 
 def test_atlas_sample_agreement():

@@ -16,9 +16,11 @@ from edpkit.instance import (
     TerminalPair,
     augmented_graph,
     denormalize_paths,
+    map_paths,
     normalize_instance,
     parse_instance,
     shortcut_walk,
+    subdivide_edges,
     verify_solution,
     write_instance,
 )
@@ -154,6 +156,20 @@ def test_denormalize_paths():
     assert result.is_yes
     back = denormalize_paths(tri, result.paths)
     assert verify_solution(tri, back).ok
+
+
+def test_subdivide_edges_and_map_paths():
+    edges, origin = subdivide_edges([(1, 2), (2, 3), (3, 1)], {0: (2, 4), 2: (3, 5)})
+    assert edges == [(2, 4), (4, 1), (2, 3), (3, 5), (5, 1)]
+    assert origin == (0, 0, 1, 2, 2)
+    # The cycle 1-2-3-1 walked over the halves maps back to edges 0, 1, 2.
+    assert map_paths([(1, 0, 2, 3, 4)], origin) == ((0, 1, 2),)
+    # Added edges (origin None) are dropped; maps compose.
+    assert map_paths([(5, 1, 0, 6)], origin + (None, None)) == ((0,),)
+    outer = (7, 7, 8)
+    assert map_paths(map_paths([(0, 1, 2, 3)], origin), outer) == map_paths(
+        [(0, 1, 2, 3)], tuple(outer[e] for e in origin)
+    ) == ((7, 8),)
 
 
 def test_shortcut_walk():

@@ -1,4 +1,5 @@
 import random
+import sys
 
 from edpkit.graph import Multigraph
 from edpkit.instance import EdpInstance, MultiDemandInstance, TerminalPair, verify_solution
@@ -157,3 +158,20 @@ def test_fracture_modulator_valid():
     p9 = Multigraph(9, [(i, i + 1) for i in range(1, 9)])
     assert fracture_modulator_valid(p9, {3, 6, 9})
     assert not fracture_modulator_valid(p9, {5})
+
+
+def test_recursion_limit_is_restored():
+    # The path between the pendant terminals runs 300 edges deep, past the
+    # limit pinned here, so the search must raise it and then put it back.
+    n = 600
+    edges = [(v, v % n + 1) for v in range(1, n + 1)] + [(1, n + 1), (n // 2 + 1, n + 2)]
+    inst = EdpInstance(Multigraph(n + 2, edges), (TerminalPair(n + 1, n + 2),))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        result = brute_force_edp(inst)
+        limit = sys.getrecursionlimit()
+    finally:
+        sys.setrecursionlimit(old)
+    assert result.is_yes and verify_solution(inst, result.paths).ok
+    assert limit == 300

@@ -49,6 +49,14 @@ def test_prepare_reroutes_internal_x_edges():
     assert prep.edge_origin[e] == 3
 
 
+def test_prepare_gadget_leaves_follow_forest_endpoint():
+    # x = 1 reaches the inner path vertices 5 (edge 0) and 3 (edge 1): the
+    # gadget leaves go by forest endpoint first, so edge 1 gets leaf 7.
+    g = Multigraph(6, [(5, 1), (3, 1), (2, 3), (3, 4), (4, 5), (5, 6)])
+    prep = prepare_sedp(EdpInstance(g, ()), 1)
+    assert {leaf: prep.edge_origin[e] for leaf, e in prep.x_edge_of.items()} == {7: 1, 8: 0}
+
+
 def test_prepare_replaces_terminal_x():
     g = Multigraph(3, [(1, 2), (2, 3)])
     inst = EdpInstance(g, (TerminalPair(1, 3),))
