@@ -1,7 +1,7 @@
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from edpkit.graph import Multigraph
 from edpkit.instance import EdpInstance, TerminalPair, normalize_instance, verify_solution
@@ -178,3 +178,42 @@ def test_record_soundness_and_size_bounds(rng):
             assert len(tables[i].records) <= record_space_bound(
                 len(nd.bag), delta, opens
             )
+
+
+@st.composite
+def bounded_degree_instances(draw):
+    """4-10 vertices before normalization, 1-4 pairs, maximum degree at
+    most 4 after it: an edge is dropped when it would give a terminal
+    degree 4 (normalization may add a leaf to it) or another vertex
+    degree 5."""
+    n = draw(st.integers(4, 10))
+    k = draw(st.integers(1, min(4, n // 2)))
+    ends = draw(st.permutations(range(1, n + 1)))[: 2 * k]
+    pairs = tuple(TerminalPair(ends[2 * i], ends[2 * i + 1]) for i in range(k))
+    cap = {v: 3 if v in ends else 4 for v in range(1, n + 1)}
+    offsets = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n - 1)), min_size=n, max_size=3 * n))
+    edges = []
+    for a, d in offsets:
+        b = (a + d - 1) % n + 1
+        if cap[a] and cap[b]:
+            cap[a] -= 1
+            cap[b] -= 1
+            edges.append((a, b))
+    inst = normalize_instance(EdpInstance(Multigraph(n, edges), pairs))
+    assert inst.g.max_degree() <= 4
+    return inst
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(bounded_degree_instances(), st.randoms(use_true_random=False))
+def test_oracle_agreement_property(inst, order_rng):
+    want = brute_force_edp(inst).status
+    event(want)
+    order = list(range(1, inst.g.n + 1))
+    order_rng.shuffle(order)
+    for td in (build_tree_decomposition(inst.g), _decomposition_from_order(inst.g, order)):
+        got = solve_twdp(inst, decomposition=td)
+        assert got.status == want, (inst.g.edges, inst.pairs)
+        if got.is_yes:
+            assert verify_solution(inst, got.paths).ok
