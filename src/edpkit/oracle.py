@@ -300,9 +300,10 @@ def brute_force_edp(inst: EdpInstance, budget: int = DEFAULT_BUDGET) -> SolveRes
 def brute_force_multi(inst: MultiDemandInstance, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Exact multi-demand decision; multiplicities expand into single demands.
 
-    Arc direction is respected when the graph is directed.  The returned
-    paths (one tuple of edge indices per expanded demand, in triple order)
-    are not wrapped in a PathSet since they do not correspond to pairs.
+    Arc direction is respected when the graph is directed.  On "yes" the
+    result's PathSet holds one path (a tuple of edge indices) per expanded
+    demand, in triple order; the paths are not certified, since the demands
+    are not the pairs of an EdpInstance.
     """
     demands: list[tuple[int, int]] = []
     out_need: dict[int, int] = {}

@@ -1,25 +1,53 @@
 """Fixed-parameter EDP solver for bounded treewidth plus bounded degree.
 
 A leaf-to-root dynamic program over a nice tree decomposition.  Each node
-stores records (used, give, single) describing how edge-disjoint path
+stores records (used, give, single) describing how edge-disjoint walk
 families in the processed subgraph interact with the current bag:
 
   - used: multiset of bag-vertex pairs through which an already-seen
     terminal pair awaits its connection (each side delivered to one anchor),
-  - give: how many spare bag-to-bag paths the subgraph supplies,
+  - give: how many spare bag-to-bag walks the subgraph supplies,
   - single: the bag anchor of every terminal whose partner is still unseen.
 
-Every record carries one concrete witness (a set of edge-disjoint paths in
-the subgraph below the node, bag-internal edges excluded).  All node
-procedures produce candidate witnesses and re-derive records from them, so
-a record is stored exactly when some witness realizes it.  The degree bound
-caps multiplicities: a bag vertex of degree d meets at most d paths.
+Walk semantics.  The node steps run on endpoint states: the sorted tuple
+of (a, b) end pairs, a <= b, of a family of edge-disjoint walks in the
+subgraph below the node, bag-internal edges excluded.  No vertex sets are
+kept, so a walk may revisit a vertex but never an edge.  verify_solution
+accepts such edge-simple walks, and shortcut_walk turns the root's walks
+into paths.  A record is a function of the ends alone (derive_record), so a
+record is stored exactly when some walk family realizes it.  The degree
+bound caps multiplicities: a bag vertex of degree d meets at most d walks.
+
+  - Introduce adds the trivial (v, v) walk of a terminal v.
+  - Forget offers v's edges to the bag one at a time, with one
+    deduplicated set of endpoint states per edge: the edge stays unused,
+    starts a walk, extends a walk at one end, or joins two walks.
+  - Join unites the two children's families and glues walk ends at
+    non-terminal bag vertices, but only an end from one child to an end
+    from the other.  Two walks of the same child that meet at a bag vertex
+    x entered x through edges of that child's subgraph, and their
+    concatenation was already offered where the later of those edges was
+    added (a forget joins two walks through an edge) or at a lower join,
+    so a same-side glue adds no record.  A terminal's trivial walk matches
+    either side: kept once when both children carry it, and replaced by
+    the other child's walk from that terminal when only one does.
+
+Each record keeps one witness: the walks of the first candidate that
+realized it.  A candidate is its endpoint state plus a recipe (a replay of
+forget moves, or the glued chains of a join); the recipe runs only when the
+record is first stored, and child tables are freed once read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from bisect import insort
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import product
+from math import inf
+from operator import itemgetter
+from typing import Callable, Iterator
 
 from edpkit.graph import Multigraph
 from edpkit.instance import (
@@ -28,6 +56,7 @@ from edpkit.instance import (
     SolveResult,
     certify,
     normalize_instance,
+    shortcut_walk,
 )
 from edpkit.treedec import (
     NiceTreeDecomposition,
@@ -37,13 +66,15 @@ from edpkit.treedec import (
     make_nice,
 )
 
-# A witness path: (edges, a, b, vertex_frozenset); edges walk from a to b.
+# Endpoint state: sorted (a, b) ends, a <= b, one pair per walk.
+Ends = tuple[tuple[int, int], ...]
+# Walks aligned with an endpoint state: walks[i] runs from ends[i][0] to ends[i][1].
+Walks = tuple[tuple[int, ...], ...]
+# A candidate: its endpoint state and the recipe that builds its walks.
+Candidate = tuple[Ends, Callable[..., Walks], tuple]
+# A witness walk as read from Table.records: (edges, a, b, vertex_frozenset).
 Path = tuple[tuple[int, ...], int, int, frozenset[int]]
 State = frozenset[Path]
-
-
-def _path_key(p: Path) -> tuple[tuple[int, ...], int, int]:
-    return (p[0], p[1], p[2])
 
 RecordKey = tuple[
     tuple[tuple[int, int], ...],  # used, sorted with multiplicity
@@ -53,21 +84,8 @@ RecordKey = tuple[
 
 EMPTY_RECORD: RecordKey = ((), (), ())
 
-
-def _mk_path(edges: tuple[int, ...], a: int, b: int, verts: frozenset[int]) -> Path:
-    if (b, a) < (a, b):
-        a, b = b, a
-        edges = tuple(reversed(edges))
-    return (edges, a, b, verts)
-
-
-def _path_vertices(g: Multigraph, edges: tuple[int, ...], start: int) -> frozenset[int]:
-    out = {start}
-    cur = start
-    for e in edges:
-        cur = g.other_end(e, cur)
-        out.add(cur)
-    return frozenset(out)
+_CLOSED = -1  # anchor of a terminal whose walk already reaches its partner
+_end_key = itemgetter(0)
 
 
 @dataclass
@@ -78,196 +96,352 @@ class _Context:
     in_y: frozenset[int]
     partner: dict[int, int]
     delta: int
+    terminals: frozenset[int]  # the terminals in in_y
+    # Pairs (s, t), s < t, with both terminals processed, and the sorted
+    # processed terminals whose partner is not.
+    closing: list[tuple[int, int]] = field(init=False, repr=False)
+    open: list[int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        terms = sorted(self.terminals)
+        self.closing = [
+            (t, self.partner[t]) for t in terms if self.partner[t] in self.terminals and t < self.partner[t]
+        ]
+        self.open = [t for t in terms if self.partner[t] not in self.terminals]
+
+
+def _record(ctx: _Context, ends) -> RecordKey | None:
+    """Record realized by walks with these (a, b) ends, or None when no role
+    assignment satisfies the semantics (then the family is discarded)."""
+    partner = ctx.partner
+    bag = ctx.bag
+    anchor: dict[int, int] = {}
+    gives: dict[tuple[int, int], int] = {}
+    for p in ends:
+        a, b = p
+        if a in partner:
+            if a in anchor:
+                return None
+            if b != a and b in partner:
+                if partner[a] != b or b in anchor:
+                    return None
+                anchor[a] = anchor[b] = _CLOSED
+            else:
+                anchor[a] = b
+        elif b in partner:
+            if b in anchor:
+                return None
+            anchor[b] = a
+        else:
+            if a == b or a not in bag or b not in bag:
+                return None
+            count = gives.get(p, 0) + 1
+            if count > ctx.delta:
+                return None
+            gives[p] = count
+
+    used: list[tuple[int, int]] = []
+    for s, t in ctx.closing:
+        xs = anchor.get(s)
+        if xs == _CLOSED:
+            continue
+        xt = anchor.get(t)
+        if xs is None or xt is None or xs == xt or xs not in bag or xt not in bag:
+            return None
+        used.append((xs, xt) if xs < xt else (xt, xs))
+    used.sort()
+    for i in range(ctx.delta, len(used)):
+        if used[i] == used[i - ctx.delta]:
+            return None
+    single: list[tuple[int, int]] = []
+    for t in ctx.open:
+        x = anchor.get(t)
+        if x is None or x not in bag:
+            return None
+        single.append((t, x))
+    return (tuple(used), tuple(sorted(gives.items())), tuple(single))
 
 
 def derive_record(ctx: _Context, state: State) -> RecordKey | None:
-    """Record realized by a path collection, or None when no role assignment
-    satisfies the semantics (then the collection is discarded)."""
-    terminal_path: dict[int, tuple[Path, int]] = {}
-    gives: dict[tuple[int, int], int] = {}
-    closed: set[int] = set()
-    partner = ctx.partner
-    for path in state:
-        edges, a, b, _ = path
-        a_term = a in partner
-        b_term = b in partner
-        if a == b:
-            if not a_term:
-                return None
-            if a in terminal_path:
-                return None
-            terminal_path[a] = (path, a)
-            continue
-        if a_term and b_term:
-            if partner[a] != b:
-                return None
-            if a in terminal_path or b in terminal_path:
-                return None
-            terminal_path[a] = (path, b)
-            terminal_path[b] = (path, a)
-            closed.add(a)
-            closed.add(b)
-            continue
-        if a_term or b_term:
-            term, anchor = (a, b) if a_term else (b, a)
-            if anchor not in ctx.bag:
-                return None
-            if term in terminal_path:
-                return None
-            terminal_path[term] = (path, anchor)
-            continue
-        if a not in ctx.bag or b not in ctx.bag:
-            return None
-        key = (a, b) if a < b else (b, a)
-        gives[key] = gives.get(key, 0) + 1
-        if gives[key] > ctx.delta:
-            return None
+    """Record realized by a witness (a collection of (edges, a, b, verts)
+    walks), or None when the collection realizes none."""
+    return _record(ctx, [(a, b) if a <= b else (b, a) for _, a, b, _ in state])
 
-    used: list[tuple[int, int]] = []
-    single: list[tuple[int, int]] = []
-    seen_pairs: set[tuple[int, int]] = set()
-    for term in ctx.in_y & frozenset(partner):
-        mate = partner[term]
-        if mate in ctx.in_y:
-            pk = (term, mate) if term < mate else (mate, term)
-            if pk in seen_pairs:
-                continue
-            seen_pairs.add(pk)
-            if term in closed:
-                continue
-            if term not in terminal_path or mate not in terminal_path:
-                return None
-            x1 = terminal_path[term][1]
-            x2 = terminal_path[mate][1]
-            if x1 == x2 or x1 not in ctx.bag or x2 not in ctx.bag:
-                return None
-            used.append((x1, x2) if x1 < x2 else (x2, x1))
-        else:
-            if term not in terminal_path:
-                return None
-            anchor = terminal_path[term][1]
-            if anchor not in ctx.bag:
-                return None
-            single.append((term, anchor))
-    used.sort()
-    for key in set(used):
-        if used.count(key) > ctx.delta:
-            return None
-    return (tuple(used), tuple(sorted(gives.items())), tuple(sorted(single)))
+
+def _as_path(g: Multigraph, ends: tuple[int, int], walk: tuple[int, ...]) -> Path:
+    a, b = ends
+    verts = {a}
+    cur = a
+    for e in walk:
+        cur = g.other_end(e, cur)
+        verts.add(cur)
+    return (walk, a, b, frozenset(verts))
+
+
+class Witnesses(Mapping):
+    """record -> witness.  Stored as (ends, walks) in `stored`; read as a
+    frozenset of (edges, a, b, verts) walks, built on access."""
+
+    def __init__(self, g: Multigraph) -> None:
+        self.g = g
+        self.stored: dict[RecordKey, tuple[Ends, Walks]] = {}
+
+    def __getitem__(self, rec: RecordKey) -> State:
+        ends, walks = self.stored[rec]
+        return frozenset(_as_path(self.g, p, w) for p, w in zip(ends, walks))
+
+    def __iter__(self) -> Iterator[RecordKey]:
+        return iter(self.stored)
+
+    def __len__(self) -> int:
+        return len(self.stored)
 
 
 class Table:
-    """record -> first witness found (deterministic insertion order)."""
+    """record -> witness of the first candidate that realized it
+    (deterministic insertion order)."""
 
-    def __init__(self) -> None:
-        self.records: dict[RecordKey, State] = {}
+    def __init__(self, g: Multigraph) -> None:
+        self.records = Witnesses(g)
 
-    def add(self, ctx: _Context, state: State) -> None:
-        rec = derive_record(ctx, state)
-        if rec is not None and rec not in self.records:
-            self.records[rec] = state
+    def add(self, ctx: _Context, state: Candidate) -> None:
+        """Offer a candidate; its recipe runs only when its record is new."""
+        ends, make, args = state
+        rec = _record(ctx, ends)
+        stored = self.records.stored
+        if rec is not None and rec not in stored:
+            stored[rec] = (ends, make(*args))
 
-    def __len__(self) -> int:
-        return len(self.records)
+
+def _sorted_walks(items: list[tuple[tuple[int, int], tuple[int, ...]]]) -> Walks:
+    """Walks of (ends, walk) items, ends normalized, in endpoint-state order."""
+    items.sort(key=_end_key)
+    return tuple(w for _, w in items)
 
 
-def _glue_closure(base: State, bag: frozenset[int]) -> Iterator[State]:
-    """All states reachable by concatenating pairs of paths that meet at a
-    bag vertex and share no other vertex (the restriction of one longer path
-    to the two sides of a join)."""
-    seen: set[State] = set()
-    stack = [base]
-    while stack:
-        state = stack.pop()
-        if state in seen:
+def _normalized(a: int, b: int, walk: tuple[int, ...]) -> tuple[tuple[int, int], tuple[int, ...]]:
+    return ((a, b), walk) if a <= b else ((b, a), walk[::-1])
+
+
+def _kept(walks: Walks) -> Walks:
+    return walks
+
+
+def _with_trivial(ends: Ends, walks: Walks, v: int) -> Walks:
+    return _sorted_walks([*zip(ends, walks), ((v, v), ())])
+
+
+# --- forget -----------------------------------------------------------------
+
+# A forget move (e, x, y, i, j): walk i of the current state, oriented to end
+# at x (or nothing when i < 0), then edge e from x to y, then walk j oriented
+# to start at y (or nothing when j < 0).  Indices refer to the sorted state.
+Move = tuple[int, int, int, int, int]
+
+
+def _drop(items: list, i: int, j: int) -> None:
+    """Delete entries i and j of a list; an index below 0 names no entry."""
+    for k in sorted((i, j), reverse=True):
+        if k >= 0:
+            del items[k]
+
+
+def _replace(ends: Ends, i: int, j: int, a: int, b: int) -> Ends:
+    """ends without entries i and j, plus walk (a, b)."""
+    rest = list(ends)
+    _drop(rest, i, j)
+    insort(rest, (a, b) if a <= b else (b, a))
+    return tuple(rest)
+
+
+def _edge_moves(ends: Ends, e: int, u: int, v: int, limit: float) -> list[tuple[Ends, Move | None]]:
+    """Endpoint states after offering edge e = uv (u stays in the bag, v is
+    forgotten), each with the move that realizes it (None: e unused).
+    States with more than `limit` walk ends at v are left out."""
+    at_u = []  # (index, far end) of walks with an end at u
+    at_v = []
+    at_v_ends = 0
+    for i, (a, b) in enumerate(ends):
+        if a == u or b == u:
+            at_u.append((i, b if a == u else a))
+        if a == v or b == v:
+            at_v.append((i, b if a == v else a))
+            at_v_ends += (a == v) + (b == v)
+    out: list[tuple[Ends, Move | None]] = []
+    if at_v_ends <= limit:
+        out.append((ends, None))
+    if at_v_ends < limit:
+        fresh = list(ends)
+        insort(fresh, (u, v) if u < v else (v, u))
+        out.append((tuple(fresh), (e, u, v, -1, -1)))
+        for i, far in at_u:
+            out.append((_replace(ends, i, -1, far, v), (e, u, v, i, -1)))
+    if at_v_ends <= limit + 1:
+        for i, far in at_v:
+            out.append((_replace(ends, i, -1, far, u), (e, v, u, i, -1)))
+        for i, far_u in at_u:
+            for j, far_v in at_v:
+                if i != j:
+                    out.append((_replace(ends, i, j, far_u, far_v), (e, u, v, i, j)))
+    return out
+
+
+def _forget_walks(ends: Ends, walks: Walks, moves: tuple[Move, ...]) -> Walks:
+    """Replay forget moves on a child witness."""
+    items = list(zip(ends, walks))
+    for e, x, y, i, j in moves:
+        a, left = x, ()
+        if i >= 0:
+            (p, w) = items[i]
+            a, left = (p[0], w) if p[1] == x else (p[1], w[::-1])
+        b, right = y, ()
+        if j >= 0:
+            (p, w) = items[j]
+            b, right = (p[1], w) if p[0] == y else (p[0], w[::-1])
+        _drop(items, i, j)
+        insort(items, _normalized(a, b, left + (e,) + right), key=_end_key)
+    return tuple(w for _, w in items)
+
+
+def _forget(ctx: _Context, table: Table, child: Table, v: int, links: list[tuple[int, int]]) -> None:
+    """Offer v's edges e to bag vertices u, given as (e, u), one at a time.
+
+    Each edge can take at most one walk end off v, so when v is no terminal
+    a state keeps no more ends at v than edges remain to be offered."""
+    for ends, walks in child.records.stored.values():
+        layer: dict[Ends, tuple[Move, ...]] = {ends: ()}
+        for done, (e, u) in enumerate(links, start=1):
+            limit = len(links) - done if v not in ctx.partner else inf
+            nxt: dict[Ends, tuple[Move, ...]] = {}
+            for state, moves in layer.items():
+                for out, move in _edge_moves(state, e, u, v, limit):
+                    if out not in nxt:
+                        nxt[out] = moves if move is None else moves + (move,)
+            layer = nxt
+        for state, moves in layer.items():
+            table.add(ctx, (state, _forget_walks, (ends, walks, moves)))
+
+
+# --- join -------------------------------------------------------------------
+
+# One child witness prepared for gluing: terminals with a non-trivial walk,
+# terminal -> its trivial walk, the other walks' ends and walks, and
+# non-terminal vertex -> the walk ends there.  Walk i's ends are numbered
+# 2i (at ends[i][0]) and 2i + 1 (at ends[i][1]).
+_Side = tuple[
+    frozenset[int],
+    dict[int, tuple[int, ...]],
+    list[tuple[int, int]],
+    list[tuple[int, ...]],
+    dict[int, list[int]],
+]
+
+
+def _side(partner: dict[int, int], ends: Ends, walks: Walks) -> _Side:
+    busy: set[int] = set()
+    trivial: dict[int, tuple[int, ...]] = {}
+    pieces: list[tuple[int, int]] = []
+    piece_walks: list[tuple[int, ...]] = []
+    at: dict[int, list[int]] = {}
+    for p, w in zip(ends, walks):
+        a, b = p
+        if a == b and a in partner:
+            trivial[a] = w
             continue
-        seen.add(state)
-        yield state
-        paths = sorted(state, key=_path_key)
-        for i, p1 in enumerate(paths):
-            for p2 in paths[i + 1 :]:
-                for merged in _merge_options(p1, p2, bag):
-                    stack.append((state - {p1, p2}) | {merged})
+        k = 2 * len(pieces)
+        pieces.append(p)
+        piece_walks.append(w)
+        for end, x in ((k, a), (k + 1, b)):
+            if x in partner:
+                busy.add(x)
+            else:
+                at.setdefault(x, []).append(end)
+    return frozenset(busy), trivial, pieces, piece_walks, at
 
 
-def _merge_options(p1: Path, p2: Path, bag: frozenset[int]) -> list[Path]:
-    e1, a1, b1, v1 = p1
-    e2, a2, b2, v2 = p2
-    common = v1 & v2
-    if len(common) != 1:
-        return []
-    (x,) = common
-    if x not in bag:
-        return []
-    ends1 = {a1, b1}
-    ends2 = {a2, b2}
-    if x not in ends1 or x not in ends2:
-        return []
-    # Orient p1 to end at x and p2 to start there.
-    edges1 = e1 if b1 == x else tuple(reversed(e1))
-    start1 = a1 if b1 == x else b1
-    edges2 = e2 if a2 == x else tuple(reversed(e2))
-    end2 = b2 if a2 == x else a2
-    if start1 == end2:
-        return []
-    return [_mk_path(edges1 + edges2, start1, end2, v1 | v2)]
+@lru_cache(maxsize=None)
+def _matchings(m: int, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Every partial matching between range(m) and range(n), as (i, j) pairs."""
+    if m == 0:
+        return ((),)
+    out = list(_matchings(m - 1, n))
+    for j in range(n):
+        rest = [k for k in range(n) if k != j]
+        out += [((m - 1, j), *((i, rest[r]) for i, r in ms)) for ms in _matchings(m - 1, n - 1)]
+    return tuple(out)
 
 
-def _forget_states(g: Multigraph, base: State, v: int, e_v: list[int]) -> Iterator[State]:
-    """All assignments of the edges between v and the new bag onto the
-    existing paths: each edge stays unused, starts a new path, extends a
-    path at one matching endpoint, or joins two paths."""
-    out_seen: set[State] = set()
-
-    def rec(state: State, idx: int) -> Iterator[State]:
-        if idx == len(e_v):
-            if state not in out_seen:
-                out_seen.add(state)
-                yield state
-            return
-        e = e_v[idx]
-        u, w = g.edges[e]
-        # Option: leave e unused.
-        yield from rec(state, idx + 1)
-        # Option: e becomes a new single-edge path.
-        yield from rec(state | {_mk_path((e,), u, w, frozenset((u, w)))}, idx + 1)
-        paths = sorted(state, key=_path_key)
-        for p in paths:
-            edges, a, b, verts = p
-            for end, other_endpoint in ((u, w), (w, u)):
-                if end not in (a, b) or (a == b and end != a):
-                    continue
-                if end in (a, b) and other_endpoint in verts:
-                    continue
-                oriented = edges if b == end else tuple(reversed(edges))
-                start = a if b == end else b
-                ext = _mk_path(oriented + (e,), start, other_endpoint, verts | {other_endpoint})
-                yield from rec((state - {p}) | {ext}, idx + 1)
-                if a == b:
-                    break  # trivial path has one distinct endpoint
-        for i, p1 in enumerate(paths):
-            for p2 in paths[i + 1 :]:
-                for orient in ((u, w), (w, u)):
-                    m = _join_via_edge(p1, p2, e, orient[0], orient[1])
-                    if m is not None:
-                        yield from rec((state - {p1, p2}) | {m}, idx + 1)
-
-    yield from rec(base, 0)
+def _glue_walks(
+    pieces: list[tuple[int, int]],
+    piece_walks: list[tuple[int, ...]],
+    glues: list[tuple[int, int]],
+    trivial: list[tuple[int, tuple[int, ...]]],
+) -> Walks:
+    """Walks of the pieces glued at the matched ends, plus the trivial walks."""
+    mate = {}
+    for p, q in glues:
+        mate[p] = q
+        mate[q] = p
+    seen = [False] * len(pieces)
+    items = [((v, v), w) for v, w in trivial]
+    for start in range(2 * len(pieces)):
+        if seen[start >> 1] or start in mate:
+            continue
+        walk: tuple[int, ...] = ()
+        end: int | None = start
+        while end is not None:
+            i = end >> 1
+            seen[i] = True
+            walk += piece_walks[i][::-1] if end & 1 else piece_walks[i]
+            last = end ^ 1
+            end = mate.get(last)
+        items.append(_normalized(pieces[start >> 1][start & 1], pieces[last >> 1][last & 1], walk))
+    return _sorted_walks(items)
 
 
-def _join_via_edge(p1: Path, p2: Path, e: int, u: int, w: int) -> Path | None:
-    """Join p1 (must end at u) and p2 (must end at w) through edge e."""
-    e1, a1, b1, v1 = p1
-    e2, a2, b2, v2 = p2
-    if u not in (a1, b1) or w not in (a2, b2):
-        return None
-    if v1 & v2:
-        return None
-    edges1 = e1 if b1 == u else tuple(reversed(e1))
-    start1 = a1 if b1 == u else b1
-    edges2 = e2 if a2 == w else tuple(reversed(e2))
-    end2 = b2 if a2 == w else a2
-    return _mk_path(edges1 + (e,) + edges2, start1, end2, v1 | v2)
+def _join(ctx: _Context, table: Table, left: Table, right: Table) -> None:
+    """Unite every pair of child witnesses, with every cross-side glue."""
+    partner = ctx.partner
+    sides_b = [_side(partner, *w) for w in right.records.stored.values()]
+    for witness in left.records.stored.values():
+        busy_a, trivial_a, pieces_a, walks_a, at_a = _side(partner, *witness)
+        shift = 2 * len(pieces_a)
+        for busy_b, trivial_b, pieces_b, walks_b, at_b in sides_b:
+            if not busy_a.isdisjoint(busy_b):
+                continue  # a terminal with a walk on both sides
+            trivial = [(v, w) for v, w in trivial_a.items() if v in trivial_b]
+            pieces = pieces_a + pieces_b
+            piece_walks = walks_a + walks_b
+            sites = [(at_a[x], [shift + end for end in at_b[x]]) for x in at_a.keys() & at_b.keys()]
+            for combo in product(*(_matchings(len(ea), len(eb)) for ea, eb in sites)):
+                glues = [(ea[i], eb[j]) for matching, (ea, eb) in zip(combo, sites) for i, j in matching]
+                ends = _glued_ends(pieces, glues, trivial)
+                if ends is not None:
+                    table.add(ctx, (ends, _glue_walks, (pieces, piece_walks, glues, trivial)))
+
+
+def _glued_ends(
+    pieces: list[tuple[int, int]],
+    glues: list[tuple[int, int]],
+    trivial: list[tuple[int, tuple[int, ...]]],
+) -> Ends | None:
+    """Endpoint state after the glues, or None if one closes a cycle."""
+    far: dict[int, int] = {}  # end of a glued walk -> its other end
+    for p, q in glues:
+        fp = far.pop(p, p ^ 1)
+        if fp == q:
+            return None
+        fq = far.pop(q, q ^ 1)
+        far[fp] = fq
+        far[fq] = fp
+    touched = {p >> 1 for glue in glues for p in glue}
+    out = [(v, v) for v, _ in trivial]
+    out += [p for i, p in enumerate(pieces) if i not in touched]
+    for f, h in far.items():
+        if f < h:
+            a, b = pieces[f >> 1][f & 1], pieces[h >> 1][h & 1]
+            out.append((a, b) if a <= b else (b, a))
+    return tuple(sorted(out))
 
 
 def record_space_bound(bag_size: int, delta: int, open_terminals: int) -> int:
@@ -297,59 +471,57 @@ def compute_tables(
         partner[p.t] = p.s
 
     nodes = nice.nodes
-    tables: list[Table] = [Table() for _ in nodes]
+    tables: list[Table] = [Table(g) for _ in nodes]
     in_y: list[frozenset[int]] = [frozenset()] * len(nodes)
+    terminals: list[frozenset[int]] = [frozenset()] * len(nodes)
     contexts: list[_Context] = []
     for i, nd in enumerate(nodes):
-        y = frozenset(nd.bag)
-        for c in nd.children:
-            y |= in_y[c]
-        in_y[i] = y
-        ctx = _Context(bag=nd.bag, in_y=y, partner=partner, delta=delta)
+        if nd.kind == "forget":
+            # A forget node processes what its child did: share the sets.
+            (c,) = nd.children
+            in_y[i], terminals[i] = in_y[c], terminals[c]
+        else:
+            in_y[i] = nd.bag.union(*(in_y[c] for c in nd.children))
+            terminals[i] = frozenset(v for v in nd.bag if v in partner).union(
+                *(terminals[c] for c in nd.children)
+            )
+        ctx = _Context(
+            bag=nd.bag, in_y=in_y[i], partner=partner, delta=delta, terminals=terminals[i]
+        )
         contexts.append(ctx)
         table = tables[i]
         if nd.kind == "leaf":
             (v,) = nd.bag
             if v in partner:
-                table.add(ctx, frozenset({_mk_path((), v, v, frozenset({v}))}))
+                table.add(ctx, (((v, v),), _with_trivial, ((), (), v)))
             else:
-                table.add(ctx, frozenset())
+                table.add(ctx, ((), _kept, ((),)))
         elif nd.kind == "introduce":
             (c,) = nd.children
             v = nd.vertex
             assert v is not None
-            extra = (
-                frozenset({_mk_path((), v, v, frozenset({v}))})
-                if v in partner
-                else frozenset()
-            )
-            for state in tables[c].records.values():
-                table.add(ctx, state | extra)
-            if free_children:
-                tables[c] = Table()
+            for ends, walks in tables[c].records.stored.values():
+                if v in partner:
+                    more = list(ends)
+                    insort(more, (v, v))
+                    table.add(ctx, (tuple(more), _with_trivial, (ends, walks, v)))
+                else:
+                    table.add(ctx, (ends, _kept, (walks,)))
         elif nd.kind == "forget":
             (c,) = nd.children
             v = nd.vertex
             assert v is not None
-            e_v = sorted(
-                e
+            links = sorted(
+                (e, g.other_end(e, v))
                 for e in g.incident(v)
                 if g.other_end(e, v) in nd.bag
             )
-            for state in tables[c].records.values():
-                for out in _forget_states(g, state, v, e_v):
-                    table.add(ctx, out)
-            if free_children:
-                tables[c] = Table()
+            _forget(ctx, table, tables[c], v, links)
         else:  # join
-            a, b = nd.children
-            for sa in tables[a].records.values():
-                for sb in tables[b].records.values():
-                    for out in _glue_closure(sa | sb, nd.bag):
-                        table.add(ctx, out)
-            if free_children:
-                tables[a] = Table()
-                tables[b] = Table()
+            _join(ctx, table, tables[nd.children[0]], tables[nd.children[1]])
+        if free_children:
+            for c in nd.children:
+                tables[c] = Table(g)
     return tables, in_y, contexts
 
 
@@ -373,19 +545,15 @@ def solve_twdp(
     nice = make_nice(td)
     tables, _, _ = compute_tables(work, nice)
 
-    root_table = tables[nice.root]
-    witness = root_table.records.get(EMPTY_RECORD)
+    witness = tables[nice.root].records.stored.get(EMPTY_RECORD)
     if witness is None:
         return SolveResult("no")
-    by_terminal: dict[int, Path] = {}
-    for path in witness:
-        _, a, b, _ = path
-        by_terminal[a] = path
-        by_terminal[b] = path
+    # At the root every pair is closed by one walk with ends (s, t).
+    walk_of = dict(zip(*witness))
     out_paths = []
     for p in work.pairs:
-        path = by_terminal[p.s]
-        edges, a, b, _ = path
-        out_paths.append(edges if a == p.s else tuple(reversed(edges)))
+        a, b = (p.s, p.t) if p.s < p.t else (p.t, p.s)
+        walk = walk_of[(a, b)]
+        out_paths.append(shortcut_walk(g, walk if a == p.s else walk[::-1], p.s))
     sol = PathSet(tuple(out_paths))
     return SolveResult("yes", certify("twdp", inst, work, sol))

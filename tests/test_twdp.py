@@ -180,6 +180,19 @@ def test_record_soundness_and_size_bounds(rng):
             )
 
 
+
+def test_terminal_trivial_walk_in_both_join_children():
+    # Both children of the join on bag {1, 4} carry terminal 4's trivial
+    # walk; the join must keep one copy, or the record is rejected.
+    inst = EdpInstance(Multigraph(4, [(2, 1), (3, 1), (4, 1)]), (TerminalPair(4, 2),))
+    assert inst.normalized
+    nice = make_nice(build_tree_decomposition(inst.g))
+    joins = [nd for nd in nice.nodes if nd.kind == "join"]
+    assert [nd.bag for nd in joins] == [frozenset({1, 4})]
+    assert all(4 in nice.nodes[c].bag for c in joins[0].children)
+    r = solve_twdp(inst)
+    assert r.is_yes and verify_solution(inst, r.paths).ok
+
 @st.composite
 def bounded_degree_instances(draw):
     """4-10 vertices before normalization, 1-4 pairs, maximum degree at
