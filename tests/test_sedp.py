@@ -1,10 +1,11 @@
 import time
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from edpkit import sedp
 from edpkit.graph import Multigraph, find_fvs_one
-from edpkit.instance import EdpInstance, TerminalPair, verify_solution
+from edpkit.instance import EdpInstance, TerminalPair, normalize_instance, verify_solution
 from edpkit.oracle import brute_force_edp
 from edpkit.sedp import (
     LabelSet,
@@ -195,3 +196,47 @@ def test_labels_computed_once_per_forest_vertex(monkeypatch):
     monkeypatch.setattr(sedp, "compute_labels", counting)
     assert solve_sedp(inst, x=1).is_yes
     assert sorted(visited) == sorted(prep.post_order)
+
+
+@st.composite
+def fvs1_instances(draw):
+    """A forest on 1..n (n <= 7), the vertex x = n + 1 joined to each forest
+    vertex by 0-3 parallel edges (or, one time in five, a leaf terminal on
+    one forest vertex), and 0-3 pairs; returns the instance, not normalized,
+    and x."""
+    n = draw(st.integers(1, 7))
+    edges = [(draw(st.integers(max(1, v - 3), v - 1)), v) for v in range(2, n + 1) if draw(st.booleans())]
+    x = n + 1
+    k = draw(st.integers(0, min(3, x // 2)))
+    ends = draw(st.permutations(range(1, x + 1)))
+    free = [v for v in ends[2 * k :] if v != x]
+    if draw(st.integers(0, 4)) or not k or not free:
+        for v in range(1, n + 1):
+            edges += [(v, x)] * draw(st.sampled_from((0, 0, 1, 1, 2, 3)))
+    else:  # x a leaf terminal off a non-terminal: it stays a terminal through normalization
+        edges.append((draw(st.sampled_from(free)), x))
+        ends.remove(x)
+        ends.insert(0, x)
+    pairs = tuple(TerminalPair(ends[2 * i], ends[2 * i + 1]) for i in range(k))
+    return EdpInstance(Multigraph(x, edges), pairs), x
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fvs1_instances())
+def test_oracle_agreement_property(case):
+    inst, x = case
+    want = brute_force_edp(inst).status
+    work = normalize_instance(inst)
+    prep = prepare_sedp(work, x)
+    event(want)
+    if x in work.terminals:
+        event("x is a terminal")
+    if any(inst.g.edges.count((v, x)) > 1 for v in range(1, x)):
+        event("several x-edges at one vertex")
+    if any(r > work.g.n and prep.tree_slice[r].stop - prep.tree_slice[r].start > 1 for r in prep.roots):
+        event("fresh root")
+    for got in (solve_sedp(inst), solve_sedp(inst, x=x)):
+        assert got.status == want, (inst.g.edges, inst.pairs, x)
+        if got.is_yes:
+            assert verify_solution(inst, got.paths).ok
