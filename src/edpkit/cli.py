@@ -7,6 +7,7 @@ Exit codes: 0 yes, 1 no, 2 unknown (budget or width/modulator refusals),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 import traceback
@@ -370,10 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than
+    parsing a command line, and in-process callers call main many times."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

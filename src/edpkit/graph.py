@@ -31,15 +31,28 @@ class Multigraph:
                 raise ValueError(f"vertex id out of range: ({u}, {v}) with n={n}")
             if u == v:
                 raise ValueError(f"self-loop rejected: ({u}, {v})")
+        self._build(n, edge_list, directed)
+
+    @classmethod
+    def _from_checked(cls, n: int, edges: Sequence[tuple[int, int]], directed: bool = False) -> "Multigraph":
+        """The graph on edges that the caller has already checked: int pairs
+        in 1..n without self-loops.  Skips the constructor's checks."""
+        g = cls.__new__(cls)
+        g._build(n, tuple(edges), directed)
+        return g
+
+    def _build(self, n: int, edge_list: tuple[tuple[int, int], ...], directed: bool) -> None:
         self.n = n
         self.edges = edge_list
         self.directed = directed
         incident: list[list[int]] = [[] for _ in range(n + 1)]
         for idx, (u, v) in enumerate(edge_list):
             incident[u].append(idx)
-            if v != u:
-                incident[v].append(idx)
-        self._incident = [tuple(ix) for ix in incident]
+            incident[v].append(idx)
+        # Each list is freed as its tuple is made, so the conversion does
+        # not add a second set of live objects for the garbage collector.
+        incident.reverse()
+        self._incident = [tuple(incident.pop()) for _ in range(n + 1)]
 
     @property
     def m(self) -> int:

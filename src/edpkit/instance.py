@@ -48,16 +48,18 @@ class EdpInstance:
         object.__setattr__(self, "normalized", self._check_normalized())
 
     def _check_normalized(self) -> bool:
-        occurrences: dict[int, int] = {}
-        for p in self.pairs:
-            for v in p.members():
-                occurrences[v] = occurrences.get(v, 0) + 1
-        terminals = set(occurrences)
-        for v, count in occurrences.items():
-            if count != 1 or self.g.degree(v) != 1:
+        # Reads only the terminals' incidence lists: once every terminal has
+        # degree one, an edge between two terminals is some terminal's edge.
+        edges, incident = self.g.edges, self.g._incident
+        terminals = [v for p in self.pairs for v in p.members()]
+        seen = set(terminals)
+        if len(seen) != len(terminals):
+            return False
+        for v in terminals:
+            if len(incident[v]) != 1:
                 return False
-        for u, v in self.g.edges:
-            if u in terminals and v in terminals:
+            a, b = edges[incident[v][0]]
+            if a in seen and b in seen:
                 return False
         return True
 
@@ -136,21 +138,20 @@ def parse_instance(text: str) -> EdpInstance | MultiDemandInstance:
     triples: list[tuple[int, int, int]] = []
     header_seen = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "c":
             continue
-        fields = line.split()
         tag = fields[0]
         if tag == "p":
             if header_seen:
                 raise ParseError(line_no, "duplicate header")
             if len(fields) != 5 or fields[1] not in ("edp", "mdedp", "muedp"):
-                raise ParseError(line_no, f"malformed header: {line!r}")
+                raise ParseError(line_no, f"malformed header: {raw.strip()!r}")
             kind = fields[1]
             try:
                 n, m, p = int(fields[2]), int(fields[3]), int(fields[4])
             except ValueError:
-                raise ParseError(line_no, f"malformed header: {line!r}") from None
+                raise ParseError(line_no, f"malformed header: {raw.strip()!r}") from None
             if n < 0 or m < 0 or p < 0:
                 raise ParseError(line_no, "negative count in header")
             header_seen = True
@@ -158,11 +159,11 @@ def parse_instance(text: str) -> EdpInstance | MultiDemandInstance:
             if not header_seen:
                 raise ParseError(line_no, "edge line before header")
             if len(fields) != 3:
-                raise ParseError(line_no, f"malformed edge line: {line!r}")
+                raise ParseError(line_no, f"malformed edge line: {raw.strip()!r}")
             try:
                 u, v = int(fields[1]), int(fields[2])
             except ValueError:
-                raise ParseError(line_no, f"malformed edge line: {line!r}") from None
+                raise ParseError(line_no, f"malformed edge line: {raw.strip()!r}") from None
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(line_no, f"vertex id out of range: ({u}, {v})")
             if u == v:
@@ -173,11 +174,11 @@ def parse_instance(text: str) -> EdpInstance | MultiDemandInstance:
                 raise ParseError(line_no, "demand line before header")
             want = 3 if kind == "edp" else 4
             if len(fields) != want:
-                raise ParseError(line_no, f"malformed demand line: {line!r}")
+                raise ParseError(line_no, f"malformed demand line: {raw.strip()!r}")
             try:
                 nums = [int(x) for x in fields[1:]]
             except ValueError:
-                raise ParseError(line_no, f"malformed demand line: {line!r}") from None
+                raise ParseError(line_no, f"malformed demand line: {raw.strip()!r}") from None
             if not (1 <= nums[0] <= n and 1 <= nums[1] <= n):
                 raise ParseError(line_no, f"vertex id out of range: ({nums[0]}, {nums[1]})")
             if kind == "edp":
@@ -197,9 +198,11 @@ def parse_instance(text: str) -> EdpInstance | MultiDemandInstance:
     demands = len(pairs) if kind == "edp" else len(triples)
     if demands != p:
         raise ParseError(line_no if text else 1, f"demand count mismatch: header says {p}, found {demands}")
+    # Every edge line was checked above, so the graph skips the checks.
+    g = Multigraph._from_checked(n, edges, directed=(kind == "mdedp"))
     if kind == "edp":
-        return EdpInstance(Multigraph(n, edges, directed=False), tuple(pairs))
-    return MultiDemandInstance(Multigraph(n, edges, directed=(kind == "mdedp")), tuple(triples))
+        return EdpInstance(g, tuple(pairs))
+    return MultiDemandInstance(g, tuple(triples))
 
 
 def write_instance(inst: EdpInstance | MultiDemandInstance) -> str:
@@ -257,7 +260,7 @@ def normalize_instance(inst: EdpInstance) -> EdpInstance:
             else:
                 ends.append(v)
         new_pairs.append(TerminalPair(ends[0], ends[1]))
-    result = EdpInstance(Multigraph(next_id, new_edges, directed=False), tuple(new_pairs))
+    result = EdpInstance(Multigraph._from_checked(next_id, new_edges), tuple(new_pairs))
     assert result.normalized, "normalization must reach a fixed point in one pass"
     return result
 

@@ -7,12 +7,20 @@ A bottom-up label computation then decides, per subtree, which connectivity
 services it can provide (all local pairs routable; additionally a root-to-x
 path; or all but one pair routable with one terminal delivered to the subtree
 root), with a maximum-cover matching arbitrating between sibling subtrees.
-Yes answers are reconstructed into an explicit edge-disjoint path set.
+A node with one child has a conflict graph without edges, so it shares its
+child's label set.  At a node with two or more children the label pass
+records its decisions: the children's partition, the matching with no child
+excluded, and the lowest child that can deliver each pair label.  Yes
+answers are reconstructed into an explicit edge-disjoint path set from those
+records; only a node asked to deliver a pair runs one more matching, without
+the delivering child.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from edpkit.graph import Multigraph, find_fvs_one, matching_max_cover
 from edpkit.instance import (
@@ -28,20 +36,34 @@ from edpkit.instance import (
 )
 
 
-@dataclass(frozen=True)
-class LabelSet:
+class LabelSet(NamedTuple):
     """Connectivity services a subtree can provide to its parent."""
 
     gamma_empty: bool
     gamma_x: bool
     pair_labels: frozenset[int]
 
-    @property
-    def empty(self) -> bool:
-        return not (self.gamma_empty or self.gamma_x or self.pair_labels)
+
+_NO_PAIRS: frozenset[int] = frozenset()
+EMPTY_LABELS = LabelSet(False, False, _NO_PAIRS)
+# The labels of a leaf that is not a terminal, without and with an x-edge.
+_PLAIN_LEAF = LabelSet(True, False, _NO_PAIRS)
+_X_LEAF = LabelSet(True, True, _NO_PAIRS)
 
 
-EMPTY_LABELS = LabelSet(False, False, frozenset())
+class _NodePlan(NamedTuple):
+    """The partition of an inner node's children and its conflict graph H(t)."""
+
+    v_neg: tuple[int, ...]  # children that are not gamma-empty
+    v_x: tuple[int, ...]  # gamma-x children
+    h_vertices: tuple[int, ...]  # ascending
+    shared_pair: dict[tuple[int, int], int]  # H-edge -> lowest shared pair, in H-edge order
+
+
+# What the label pass decided at a node with two or more children: its
+# plan, the maximum-cover matching of H(t) with no child excluded, and for
+# each pair label the lowest child that can deliver it.
+_Decision = tuple[_NodePlan, tuple[tuple[int, int], ...], dict[int, int]]
 
 
 @dataclass
@@ -52,14 +74,17 @@ class SedpInstance:
     inst: EdpInstance
     x: int
     roots: tuple[int, ...]
-    parent: dict[int, int]
-    children: dict[int, tuple[int, ...]]
+    parent_edge: list[int]  # vertex -> edge index to its parent, -1 at roots and x
+    children: dict[int, tuple[int, ...]]  # ascending
     post_order: tuple[int, ...]
     tree_slice: dict[int, slice]  # root -> its tree's vertices in post_order
-    tree_of: dict[int, int]  # vertex -> root of its tree
+    tree_of: list[int]  # vertex -> root of its tree
     x_edge_of: dict[int, int]  # forest leaf -> its unique edge index to x
     pair_of: dict[int, int]  # terminal -> pair index
     edge_origin: tuple[int | None, ...]  # prepared edge -> source edge index
+    # Inner vertex with two or more children -> what the label pass decided
+    # there and realization reads; realization drops each entry it reads.
+    decisions: dict[int, _Decision] = field(default_factory=dict)
 
 
 class NotFvsOne(ValueError):
@@ -80,149 +105,155 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
         raise ValueError(f"feedback vertex {x} out of range")
     if not inst.normalized:
         raise ValueError("prepare_sedp expects a normalized instance")
-    # One union-find scan over the edges of g - x rejects a cycle and yields
-    # the trees of the forest, listed by smallest vertex with their vertices
-    # ascending.  The rewrites below only hang fresh, higher-numbered leaves
-    # off these trees, so they stay the trees of the prepared forest in the
-    # same order.
-    uf = list(range(g.n + 1))
-
-    def find(a: int) -> int:
-        while uf[a] != a:
-            uf[a] = uf[uf[a]]
-            a = uf[a]
-        return a
-
-    for u, v in g.edges:
-        if u != x and v != x:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise NotFvsOne(f"graph minus vertex {x} is not a forest")
-            uf[ru] = rv
-    trees: dict[int, list[int]] = {}
-    for v in range(1, g.n + 1):
-        if v != x:
-            trees.setdefault(find(v), []).append(v)
-    forest = list(trees.values())
-
-    edges: list[tuple[int, int]] = list(g.edges)
+    n, g_edges, incident = g.n, g.edges, g._incident
     pairs: list[TerminalPair] = list(inst.pairs)
-    next_id = g.n
+    terminals = {v for p in pairs for v in p.members()}
+    next_id = n
+    new_edges: list[tuple[int, int]] = []  # appended after g's edges
 
-    # (2) x must not be a terminal: a fresh leaf takes its place in P.
+    # (2) x must not be a terminal: a fresh leaf takes its place in P and
+    # forms the last tree.
+    x_leaf = 0
     for j, p in enumerate(pairs):
         if x in p.members():
             next_id += 1
-            edges.append((next_id, x))
-            forest.append([next_id])
-            other = p.t if p.s == x else p.s
-            pairs[j] = TerminalPair(next_id, other) if p.s == x else TerminalPair(other, next_id)
+            x_leaf = next_id
+            new_edges.append((x_leaf, x))
+            pairs[j] = TerminalPair(x_leaf, p.t) if p.s == x else TerminalPair(p.s, x_leaf)
             break  # normalized: x occurs in at most one pair
 
-    terminals = {v for p in pairs for v in p.members()}
+    x_ends: list[tuple[int, int]] = []  # (forest end, edge index) of each x-edge
+    for e in incident[x]:
+        a, b = g_edges[e]
+        x_ends.append((b if a == x else a, e))
+    x_ends.sort()
+    x_count: dict[int, int] = {}
+    for v, _ in x_ends:
+        x_count[v] = x_count.get(v, 0) + 1
 
-    # (3) every tree needs a non-terminal root without an x-edge.
-    x_adjacent = {u for u, v in edges if v == x} | {v for u, v in edges if u == x}
+    # (3) every tree needs a non-terminal root without an x-edge.  The trees
+    # of g - x come from one walk per tree over the incidence lists, started
+    # at each tree's smallest vertex; reaching a visited vertex by any edge
+    # but the one the walk came in on closes a cycle.
+    seen = [False] * (n + 1)
+    seen[x] = True
+    came_by = [-1] * (n + 1)
     roots: list[int] = []
-    for comp in forest:
-        if len(comp) == 1:
-            roots.append(comp[0])
+    anchors: set[int] = set()  # vertices that received a fresh root leaf
+    for first in range(1, n + 1):
+        if seen[first]:
             continue
-        root = next((v for v in comp if v not in terminals and v not in x_adjacent), None)
-        if root is not None:
+        seen[first] = True
+        stack = [first]
+        size = 0
+        root = anchor = n + 1  # lowest acceptable root and lowest non-terminal
+        while stack:
+            v = stack.pop()
+            size += 1
+            if v not in terminals:
+                if v < anchor:
+                    anchor = v
+                if v < root and v not in x_count:
+                    root = v
+            up = came_by[v]
+            for e in incident[v]:
+                if e != up:
+                    a, b = g_edges[e]
+                    w = b if a == v else a
+                    if w != x:
+                        if seen[w]:
+                            raise NotFvsOne(f"graph minus vertex {x} is not a forest")
+                        seen[w] = True
+                        came_by[w] = e
+                        stack.append(w)
+        if size == 1:
+            roots.append(first)
+        elif root <= n:
             roots.append(root)
         else:
             # Normalization forbids adjacent terminals, so a multi-vertex
             # tree always has a non-terminal vertex to hang the root off.
-            anchor = next(v for v in comp if v not in terminals)
             next_id += 1
-            edges.append((anchor, next_id))
+            new_edges.append((anchor, next_id))
             roots.append(next_id)
+            anchors.add(anchor)
+    if x_leaf:
+        roots.append(x_leaf)
 
     # (1) x-edges may only reach forest leaves, one edge each.  Offending
     # x-edges are re-routed through a fresh leaf: the edge (n, x) becomes
-    # (n, l) plus (l, x), both remembering the original edge.
-    tree_degree = [0] * (next_id + 1)
-    x_edges_at: dict[int, list[int]] = {}
-    for idx, (u, v) in enumerate(edges):
-        if x in (u, v) and u != v:
-            other = v if u == x else u
-            x_edges_at.setdefault(other, []).append(idx)
-        elif x not in (u, v):
-            tree_degree[u] += 1
-            tree_degree[v] += 1
-    # Multi-vertex tree roots are never x-adjacent by the selection rule
-    # above, and a single-vertex tree's root is a forest leaf, so only the
-    # degree and multiplicity conditions matter here.
+    # (n, l) plus (l, x), both remembering the original edge.  Multi-vertex
+    # tree roots are never x-adjacent by the selection rule above, and a
+    # single-vertex tree's root is a forest leaf, so only the tree degree
+    # and the number of x-edges matter here.
     rerouted: dict[int, tuple[int, int]] = {}  # edge index -> (forest end, gadget leaf)
-    for n_vertex in sorted(x_edges_at):
-        incident = x_edges_at[n_vertex]
-        bad = tree_degree[n_vertex] >= 2 or len(incident) >= 2
-        if bad:
-            for e in incident:
-                next_id += 1
-                rerouted[e] = (n_vertex, next_id)
-    edges, source = subdivide_edges(edges, rerouted)
-    # Edges past g.m are the leaves added above; they have no source edge.
-    origin = tuple(i if i < g.m else None for i in source)
+    for v, e in x_ends:
+        k = x_count[v]
+        if k >= 2 or len(incident[v]) - k + (v in anchors) >= 2:
+            next_id += 1
+            rerouted[e] = (v, next_id)
+    edges, source = subdivide_edges(g_edges + tuple(new_edges), rerouted)
+    # Edges from g.m on are the leaves added above; they have no source edge.
+    kept = bisect_left(source, g.m)
+    origin = source[:kept] + (None,) * (len(source) - kept)
 
-    prepared_graph = Multigraph(next_id, edges, directed=False)
+    prepared_graph = Multigraph._from_checked(next_id, edges)
     prepared = EdpInstance(prepared_graph, tuple(pairs))
 
-    # Rooted forest structures over g - x.
-    parent: dict[int, int] = {}
-    children: dict[int, list[int]] = {v: [] for v in range(1, next_id + 1) if v != x}
-    adj: dict[int, list[int]] = {v: [] for v in range(1, next_id + 1) if v != x}
+    # The rooted forest, read from the prepared graph's incidence lists.
+    # Each tree is walked from its root, and the reversed walk lists
+    # children before parents.
+    p_edges, incident = prepared_graph.edges, prepared_graph._incident
     x_edge_of: dict[int, int] = {}
-    for idx, (u, v) in enumerate(prepared_graph.edges):
-        if x in (u, v):
-            other = v if u == x else u
-            assert other not in x_edge_of, "vertex with several x-edges survived preparation"
-            x_edge_of[other] = idx
-        else:
-            adj[u].append(v)
-            adj[v].append(u)
-    post_order: list[int] = []
-    tree_of: dict[int, int] = {}
+    for e in incident[x]:
+        a, b = p_edges[e]
+        x_edge_of[b if a == x else a] = e
+    assert len(x_edge_of) == len(incident[x]), "vertex with several x-edges survived preparation"
+    parent_edge = [-1] * (next_id + 1)
+    tree_of = [0] * (next_id + 1)
+    children: dict[int, tuple[int, ...]] = dict.fromkeys(range(1, next_id + 1), ())
+    del children[x]
+    walk: list[int] = []
     spans: list[tuple[int, int]] = []
-    seen = set()
     for root in roots:
-        start = len(post_order)
+        start = len(walk)
         stack = [root]
-        parent[root] = 0
-        seen.add(root)
         while stack:
             v = stack.pop()
-            post_order.append(v)
+            walk.append(v)
             tree_of[v] = root
-            for w in sorted(adj[v]):
-                if w not in seen:
-                    seen.add(w)
-                    parent[w] = v
-                    children[v].append(w)
-                    stack.append(w)
-        spans.append((start, len(post_order)))
-    post_order.reverse()  # children before parents
-    total = len(post_order)
+            up = parent_edge[v]
+            below = []
+            for e in incident[v]:
+                if e != up:
+                    a, b = p_edges[e]
+                    w = b if a == v else a
+                    if w != x:
+                        parent_edge[w] = e
+                        below.append(w)
+            if below:
+                if v in x_edge_of:
+                    raise AssertionError("inner vertex kept an x-edge after preparation")
+                below.sort()
+                children[v] = tuple(below)
+                stack += below
+        spans.append((start, len(walk)))
+    walk.reverse()  # children before parents
+    total = len(walk)
     tree_slice = {root: slice(total - stop, total - start) for root, (start, stop) in zip(roots, spans)}
-    for v in children:
-        children[v].sort()
 
     pair_of = {}
     for j, p in enumerate(prepared.pairs):
         pair_of[p.s] = j
         pair_of[p.t] = j
-    for v, cs in children.items():
-        if cs and v in x_edge_of:
-            raise AssertionError("inner vertex kept an x-edge after preparation")
 
     return SedpInstance(
         inst=prepared,
         x=x,
         roots=tuple(roots),
-        parent=parent,
-        children={v: tuple(cs) for v, cs in children.items()},
-        post_order=tuple(post_order),
+        parent_edge=parent_edge,
+        children=children,
+        post_order=tuple(walk),
         tree_slice=tree_slice,
         tree_of=tree_of,
         x_edge_of=x_edge_of,
@@ -231,47 +262,45 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
     )
 
 
-@dataclass
-class _NodePlan:
-    """Partition and matching data reused by the label rules at one node."""
-
-    v_neg: list[int]
-    v_x: list[int]
-    v_plain: list[int]
-    h_vertices: list[int]
-    h_edges: list[tuple[int, int]]  # pairs of child vertices
-    shared_pair: dict[tuple[int, int], int]  # H-edge -> lowest shared pair
-
-
-def _node_plan(children: list[int], labels: dict[int, LabelSet]) -> _NodePlan:
-    v_neg = [c for c in children if not labels[c].gamma_empty]
-    v_x = [c for c in children if labels[c].gamma_x]
-    v_plain = [c for c in children if labels[c].gamma_empty and not labels[c].gamma_x]
+def _node_plan(children: tuple[int, ...], labels: dict[int, LabelSet]) -> _NodePlan | None:
+    """The node's plan, or None when some child provides no service at all."""
+    # gamma-x implies gamma-empty, so the branches below partition the
+    # children; a child with neither and no pair label provides nothing.
+    v_neg: list[int] = []
+    v_x: list[int] = []
+    v_plain: list[int] = []
+    for c in children:
+        lab = labels[c]
+        if lab.gamma_x:
+            v_x.append(c)
+        elif lab.gamma_empty:
+            v_plain.append(c)
+        elif lab.pair_labels:
+            v_neg.append(c)
+        else:
+            return None
     h_vertices = v_neg + v_plain
-    plain = set(v_plain)
-    h_edges: list[tuple[int, int]] = []
     shared: dict[tuple[int, int], int] = {}
     for i, ci in enumerate(h_vertices):
-        for cj in h_vertices[i + 1 :]:
-            if ci in plain and cj in plain:
-                continue
+        # Two plain children never conflict, and plain ones come last.
+        for cj in h_vertices[i + 1 :] if i < len(v_neg) else ():
             common = labels[ci].pair_labels & labels[cj].pair_labels
             if common:
-                h_edges.append((ci, cj))
                 shared[(ci, cj)] = min(common)
-    return _NodePlan(v_neg, v_x, v_plain, sorted(h_vertices), h_edges, shared)
+    return _NodePlan(tuple(v_neg), tuple(v_x), tuple(sorted(h_vertices)), shared)
 
 
-def _max_cover(plan: _NodePlan, exclude: int | None) -> tuple[int, list[tuple[int, int]]]:
+def _max_cover(plan: _NodePlan, exclude: int | None) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Covered count of v_neg \\ {exclude} by a maximum-cover matching of
     H(t) - exclude, plus the matching itself as child-vertex pairs."""
-    edges = [e for e in plan.h_edges if exclude not in e]
+    v_neg, _, h_vertices, shared_pair = plan
+    edges = [e for e in shared_pair if exclude not in e]
     if not edges:
-        return 0, []
-    verts = [v for v in plan.h_vertices if v != exclude]
+        return 0, ()
+    verts = [v for v in h_vertices if v != exclude]
     index = {v: i + 1 for i, v in enumerate(verts)}
     h = Multigraph(len(verts), [(index[a], index[b]) for a, b in edges])
-    target = {index[v] for v in plan.v_neg if v != exclude}
+    target = {index[v] for v in v_neg if v != exclude}
     matching = matching_max_cover(h, target)
     cover = len(matching.vertices(h) & target)
     pairs = []
@@ -279,8 +308,8 @@ def _max_cover(plan: _NodePlan, exclude: int | None) -> tuple[int, list[tuple[in
     for e in sorted(matching.pairs):
         a, b = h.edges[e]
         u, w = back[a], back[b]
-        pairs.append((u, w) if (u, w) in plan.shared_pair else (w, u))
-    return cover, pairs
+        pairs.append((u, w) if (u, w) in shared_pair else (w, u))
+    return cover, tuple(pairs)
 
 
 def compute_labels(prep: SedpInstance, t: int, child_labels: dict[int, LabelSet]) -> LabelSet:
@@ -291,45 +320,52 @@ def compute_labels(prep: SedpInstance, t: int, child_labels: dict[int, LabelSet]
     gamma-empty when it has an x-edge.  Inner rule: the subtree partition
     and the maximum-cover matching on the conflict graph H(t) decide which
     services survive; a pair label additionally needs a child that can
-    deliver one of its terminals while the rest remains coverable.
+    deliver one of its terminals while the rest remains coverable.  With
+    one child H(t) has no edge and the rule keeps exactly the child's
+    services, so t shares the child's label set.  At a node with two or
+    more children the plan, the matching and the delivering children are
+    kept in prep.decisions for realization.
     """
-    children = list(prep.children[t])
+    children = prep.children[t]
     if not children:
         pair = prep.pair_of.get(t)
         has_x = t in prep.x_edge_of
-        return LabelSet(
-            gamma_empty=(pair is None) or has_x,
-            gamma_x=(pair is None) and has_x,
-            pair_labels=frozenset() if pair is None else frozenset({pair}),
-        )
-    labels = {c: child_labels[c] for c in children}
-    if any(labels[c].empty for c in children):
+        if pair is None:
+            return _X_LEAF if has_x else _PLAIN_LEAF
+        return LabelSet(has_x, False, frozenset((pair,)))
+    if len(children) == 1:
+        return child_labels[children[0]]
+    plan = _node_plan(children, child_labels)
+    if plan is None:
         return EMPTY_LABELS
-    plan = _node_plan(children, labels)
-    cover, _ = _max_cover(plan, exclude=None)
+    cover, matching = _max_cover(plan, exclude=None) if plan.shared_pair else (0, ())
     deficiency = len(plan.v_neg) - cover
     gamma_empty = deficiency <= len(plan.v_x)
     gamma_x = deficiency < len(plan.v_x)
 
-    ok_without: dict[int, bool] = {}
-    pair_labels = set()
+    deliverer: dict[int, int] = {}
     for c in children:
-        for p in labels[c].pair_labels:
-            if p in pair_labels:
+        ok = None
+        for p in child_labels[c].pair_labels:
+            if p in deliverer:
                 continue
-            if c not in ok_without:
-                ok_without[c] = _deliverable_via(plan, c)
-            if ok_without[c]:
-                pair_labels.add(p)
-    return LabelSet(gamma_empty, gamma_x, frozenset(pair_labels))
+            if ok is None:
+                ok = _deliverable_via(plan, c)
+            if not ok:
+                break
+            deliverer[p] = c
+    prep.decisions[t] = (plan, matching, deliverer)
+    return LabelSet(gamma_empty, gamma_x, frozenset(deliverer) if deliverer else _NO_PAIRS)
 
 
 def _deliverable_via(plan: _NodePlan, ti: int) -> bool:
     """Whether child ti can deliver a terminal up to the node while the
     other children's demands stay covered by matching or x-paths."""
-    cover_i, _ = _max_cover(plan, exclude=ti)
-    neg = len(plan.v_neg) - (1 if ti in plan.v_neg else 0)
-    avail = len(plan.v_x) - (1 if ti in plan.v_x else 0)
+    v_neg, v_x, _, shared_pair = plan
+    # Without H-edges no matching covers anything.
+    cover_i = _max_cover(plan, exclude=ti)[0] if shared_pair else 0
+    neg = len(v_neg) - (ti in v_neg)
+    avail = len(v_x) - (ti in v_x)
     return neg - cover_i <= avail
 
 
@@ -346,137 +382,102 @@ def tree_gamma_empty(prep: SedpInstance, root: int) -> bool:
     return labels_for_tree(prep, root)[root].gamma_empty
 
 
-@dataclass
-class _Path:
+class _Path(NamedTuple):
     """A path as an edge-index walk from endpoint a to endpoint b."""
 
     edges: tuple[int, ...]
     a: int
     b: int
 
-    def reversed(self) -> "_Path":
-        return _Path(tuple(reversed(self.edges)), self.b, self.a)
-
-
-@dataclass
-class _Realized:
-    paths: list[_Path] = field(default_factory=list)
-    special: _Path | None = None  # the path ending at the subtree root, if any
-
-
-def _tree_edge(g: Multigraph, u: int, v: int) -> int:
-    for e in g.incident(u):
-        if g.other_end(e, u) == v:
-            return e
-    raise AssertionError(f"missing tree edge ({u}, {v})")
-
 
 def _realize_tree(prep: SedpInstance, root: int, labels: dict[int, LabelSet]) -> list[_Path]:
     """Reconstruct an explicit path family witnessing that the tree is
     gamma-empty-connected, following the label rules' constructive steps
-    with all arbitrary choices fixed to lowest index."""
-    g = prep.inst.g
+    with all arbitrary choices fixed to lowest index.
+
+    A top-down pass gives every vertex its mode: "ge", "gx", or the pair
+    label whose terminal it delivers to its parent.  A node with one child
+    passes its mode down.  A bottom-up pass then joins the children's
+    open paths at each node; an open path is an edge list from its start
+    to the current vertex, grown in place as it climbs.
+    """
+    x, children_of, up = prep.x, prep.children, prep.parent_edge
+    tree = prep.post_order[prep.tree_slice[root]]  # children before parents
     modes: dict[int, str | int] = {root: "ge"}
-    order: list[int] = []
-    stack = [root]
-    plans: dict[int, tuple] = {}  # node -> (matching, alpha, exclude, chosen_xpath)
-    while stack:
-        t = stack.pop()
-        order.append(t)
+    steps: dict[int, tuple] = {}  # node -> (pairs of children joined at it, child extended upward)
+    for t in reversed(tree):
         mode = modes[t]
-        children = list(prep.children[t])
+        children = children_of[t]
+        if len(children) == 1:
+            modes[children[0]] = mode
+            continue
         if not children:
             continue
-        child_labels = {c: labels[c] for c in children}
-        plan = _node_plan(children, child_labels)
+        plan, matching, deliverer = prep.decisions.pop(t)
+        v_neg, v_x, _, shared_pair = plan
         exclude: int | None = None
         if isinstance(mode, int):
-            holders = sorted(c for c in children if mode in child_labels[c].pair_labels)
-            exclude = next(c for c in holders if _deliverable_via(plan, c))
-        cover, matching = _max_cover(plan, exclude)
+            exclude = deliverer[mode]
+            _, matching = _max_cover(plan, exclude)
         matched = {v for e in matching for v in e}
-        unmatched_neg = sorted(v for v in plan.v_neg if v not in matched and v != exclude)
-        suppliers_pool = sorted(v for v in plan.v_x if v != exclude)
-        alpha = dict(zip(unmatched_neg, suppliers_pool))
-        used_suppliers = set(alpha.values())
-        spare_x = [v for v in suppliers_pool if v not in used_suppliers]
-        chosen_xpath: int | None = None
+        unmatched_neg = [v for v in v_neg if v not in matched and v != exclude]
+        suppliers_pool = [v for v in v_x if v != exclude]
+        alpha = tuple(zip(unmatched_neg, suppliers_pool))
+        upward = exclude  # delivers the pair upward
         if mode == "gx":
-            chosen_xpath = spare_x[0]
+            upward = suppliers_pool[len(alpha)]  # the lowest supplier alpha left spare
         child_mode: dict[int, str | int] = {}
-        if exclude is not None:
-            child_mode[exclude] = mode  # deliver this pair upward
         for ci, cj in matching:
-            p = plan.shared_pair[(ci, cj)] if (ci, cj) in plan.shared_pair else plan.shared_pair[(cj, ci)]
+            p = shared_pair[(ci, cj)]
             child_mode[ci] = p
             child_mode[cj] = p
-        for u, supplier in alpha.items():
+        for u, supplier in alpha:
             child_mode[u] = min(labels[u].pair_labels)
             child_mode[supplier] = "gx"
-        if chosen_xpath is not None:
-            child_mode[chosen_xpath] = "gx"
+        if upward is not None:
+            child_mode[upward] = mode
+        steps[t] = (matching + alpha, upward)
         for c in children:
-            child_mode.setdefault(c, "ge")
-        plans[t] = (matching, alpha, exclude, chosen_xpath)
-        for c in children:
-            modes[c] = child_mode[c]
-            stack.append(c)
+            modes[c] = child_mode.get(c, "ge")
 
-    results: dict[int, _Realized] = {}
-    for t in reversed(order):
+    paths: list[_Path] = []
+    open_paths: dict[int, tuple[list[int], int]] = {}  # vertex -> (edges so far, start)
+    for t in tree:
         mode = modes[t]
-        children = list(prep.children[t])
+        children = children_of[t]
         if not children:
-            results[t] = _realize_leaf(prep, t, mode)
+            pair = prep.pair_of.get(t)
+            x_edge = prep.x_edge_of.get(t)
+            if mode == "ge":
+                if pair is not None:
+                    assert x_edge is not None, "terminal leaf without x-edge cannot be gamma-empty"
+                    paths.append(_Path((x_edge,), t, x))
+            elif mode == "gx":
+                assert pair is None and x_edge is not None
+                open_paths[t] = ([x_edge], x)
+            else:
+                assert pair == mode, "leaf asked for a pair it does not hold"
+                open_paths[t] = ([], t)
             continue
-        matching, alpha, exclude, chosen_xpath = plans[t]
-        out = _Realized()
-        for c in children:
-            sub = results[c]
-            out.paths.extend(sub.paths)
-        # Join matched deliveries through t.
-        for ci, cj in matching:
-            si = results[ci].special
-            sj = results[cj].special
-            assert si is not None and sj is not None
-            edges = si.edges + (_tree_edge(g, ci, t), _tree_edge(g, t, cj)) + sj.reversed().edges
-            out.paths.append(_Path(edges, si.a, sj.a))
-        # Route unmatched deliveries to x through their supplier.
-        for u, supplier in alpha.items():
-            su = results[u].special
-            sv = results[supplier].special
-            assert su is not None and sv is not None
-            edges = su.edges + (_tree_edge(g, u, t), _tree_edge(g, t, supplier)) + sv.reversed().edges
-            out.paths.append(_Path(edges, su.a, sv.a))
-        if exclude is not None:
-            sp = results[exclude].special
-            assert sp is not None
-            out.special = _Path(sp.edges + (_tree_edge(g, exclude, t),), sp.a, t)
-        if chosen_xpath is not None:
-            sx = results[chosen_xpath].special
-            assert sx is not None
-            out.special = _Path(sx.edges + (_tree_edge(g, chosen_xpath, t),), sx.a, t)
-        results[t] = out
-    return results[root].paths
-
-
-def _realize_leaf(prep: SedpInstance, leaf: int, mode: str | int) -> _Realized:
-    g = prep.inst.g
-    pair = prep.pair_of.get(leaf)
-    x_edge = prep.x_edge_of.get(leaf)
-    out = _Realized()
-    if mode == "ge":
-        if pair is not None:
-            assert x_edge is not None, "terminal leaf without x-edge cannot be gamma-empty"
-            out.paths.append(_Path((x_edge,), leaf, prep.x))
-        return out
-    if mode == "gx":
-        assert pair is None and x_edge is not None
-        out.special = _Path((x_edge,), prep.x, leaf)
-        return out
-    assert pair == mode, "leaf asked for a pair it does not hold"
-    out.special = _Path((), leaf, leaf)
-    return out
+        if len(children) == 1:
+            joins: tuple[tuple[int, int], ...] = ()
+            upward = None if mode == "ge" else children[0]
+        else:
+            joins, upward = steps.pop(t)
+        # Join two open paths through t: matched deliveries, and unmatched
+        # deliveries routed to x through their supplier.
+        for ci, cj in joins:
+            edges, a = open_paths.pop(ci)
+            edges_j, b = open_paths.pop(cj)
+            edges.append(up[ci])
+            edges.append(up[cj])
+            edges.extend(reversed(edges_j))
+            paths.append(_Path(tuple(edges), a, b))
+        if upward is not None:
+            path = open_paths.pop(upward)
+            path[0].append(up[upward])
+            open_paths[t] = path
+    return paths
 
 
 def solve_sedp(inst: EdpInstance, x: int | None = None) -> SolveResult:
@@ -506,28 +507,23 @@ def solve_sedp(inst: EdpInstance, x: int | None = None) -> SolveResult:
             return SolveResult("no")
         tree_labels.update(labels)
 
-    all_paths: list[_Path] = []
-    for root in prep.roots:
-        all_paths.extend(_realize_tree(prep, root, tree_labels))
     by_terminal: dict[int, _Path] = {}
-    for path in all_paths:
-        for end in (path.a, path.b):
-            if end in prep.pair_of:
-                assert end not in by_terminal, "terminal served by two paths"
-                by_terminal[end] = path
+    for root in prep.roots:
+        for path in _realize_tree(prep, root, tree_labels):
+            for end in (path.a, path.b):
+                if end in prep.pair_of:
+                    assert end not in by_terminal, "terminal served by two paths"
+                    by_terminal[end] = path
 
     g = prep.inst.g
     prepared_paths: list[tuple[int, ...]] = []
     for p in prep.inst.pairs:
         ps = by_terminal[p.s]
-        if p.t in (ps.a, ps.b):
-            walk = ps.edges if ps.a == p.s else ps.reversed().edges
-        else:
+        walk = ps.edges if ps.a == p.s else ps.edges[::-1]
+        if p.t not in (ps.a, ps.b):
             pt = by_terminal[p.t]
-            to_x = ps.edges if ps.a == p.s else ps.reversed().edges
-            from_x = pt.reversed().edges if pt.a == p.t else pt.edges
-            walk = to_x + from_x
-        prepared_paths.append(shortcut_walk(g, tuple(walk), p.s))
+            walk += pt.edges[::-1] if pt.a == p.t else pt.edges
+        prepared_paths.append(shortcut_walk(g, walk, p.s))
 
     sol = PathSet(map_paths(prepared_paths, prep.edge_origin))
     return SolveResult("yes", certify("sedp", inst, work, sol))

@@ -232,3 +232,17 @@ def test_parse_mcc_errors():
         parse_mcc("v 1 1\n")
     with pytest.raises(ParseError):
         parse_mcc("p mcc 2 1 2\nv 1 1\nv 2 2\n")
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    inst = write(tmp_path, "p4.edp", P4)
+    assert main(["solve", "--engine", "nonsense", str(inst)]) == EXIT_USAGE
+    assert main(["solve", str(inst)]) == EXIT_YES
+    assert main(["verify", str(inst), str(tmp_path / "p4.edp.sol")]) == EXIT_YES
+    assert main(["nonsense"]) == EXIT_USAGE
+    assert main(["solve", "--engine", "brute", str(write(tmp_path, "no.edp", NO_INSTANCE))]) == EXIT_NO
+    capsys.readouterr()
+    assert cli._parser() is cli._parser()
+    # A value given in one call does not become the default of the next.
+    assert cli._parser().parse_args(["solve", "--kmax", "2", "f"]).kmax == 2
+    assert cli._parser().parse_args(["solve", "f"]).kmax == 4

@@ -222,3 +222,12 @@ def test_certificate_check_survives_optimize():
     lines = done.stdout.splitlines()
     assert [line.split()[:2] for line in lines] == [[name, "raised"] for name in ("sedp", "twdp", "fracture", "brute")]
     assert all("forced failure" in line for line in lines)
+
+
+def test_each_bad_edge_is_reported_with_its_line():
+    # parse_instance is the one place that checks a parsed edge (the public
+    # Multigraph constructor keeps its own checks, see test_graph.py).
+    with pytest.raises(ParseError, match=r"line 3: vertex id out of range: \(2, 4\)"):
+        parse_instance("p edp 3 2 0\ne 1 2\ne 2 4\n")
+    with pytest.raises(ParseError, match=r"line 4: self-loop rejected: \(3, 3\)"):
+        parse_instance("p edp 3 3 0\ne 1 2\nc comment\ne 3 3\ne 2 3\n")

@@ -240,3 +240,19 @@ def test_oracle_agreement_property(case):
         assert got.status == want, (inst.g.edges, inst.pairs, x)
         if got.is_yes:
             assert verify_solution(inst, got.paths).ok
+
+
+def test_node_plan_built_once_per_inner_node(monkeypatch):
+    inst = star_of_paths(3000, 300)
+    prep = prepare_sedp(inst, 1)
+    inner = [v for v in prep.post_order if prep.children[v]]
+    planned = []
+    real = sedp._node_plan
+
+    def counting(children, labels):
+        planned.append(tuple(children))
+        return real(children, labels)
+
+    monkeypatch.setattr(sedp, "_node_plan", counting)
+    assert solve_sedp(inst, x=1).is_yes
+    assert planned and len(planned) == len(set(planned)) <= len(inner)
