@@ -15,33 +15,47 @@ subgraph below the node, bag-internal edges excluded.  No vertex sets are
 kept, so a walk may revisit a vertex but never an edge.  verify_solution
 accepts such edge-simple walks, and shortcut_walk turns the root's walks
 into paths.  A record is a function of the ends alone (derive_record), so a
-record is stored exactly when some walk family realizes it.  The degree
+stored record is realized by its witness, and a record that some walk family
+realizes is stored unless a stored record dominates it (below).  The degree
 bound caps multiplicities: a bag vertex of degree d meets at most d walks.
 
   - Introduce adds the trivial (v, v) walk of a terminal v.
   - Forget offers v's edges to the bag one at a time, with one
     deduplicated set of endpoint states per edge: the edge stays unused,
-    starts a walk, extends a walk at one end, or joins two walks.
+    starts a walk, extends a walk at one end, or joins two walks.  A spare
+    walk (no terminal end) that still ends at v after the last edge is
+    dropped, since a spare walk may always be left unused.
   - Join unites the two children's families and glues walk ends at
     non-terminal bag vertices, but only an end from one child to an end
-    from the other.  Two walks of the same child that meet at a bag vertex
-    x entered x through edges of that child's subgraph, and their
-    concatenation was already offered where the later of those edges was
-    added (a forget joins two walks through an edge) or at a lower join,
-    so a same-side glue adds no record.  A terminal's trivial walk matches
-    either side: kept once when both children carry it, and replaced by
-    the other child's walk from that terminal when only one does.
+    from the other, and never two terminal walks of different pairs.  Two
+    walks of the same child that meet at a bag vertex x entered x through
+    edges of that child's subgraph, and their concatenation was already
+    offered where the later of those edges was added (a forget joins two
+    walks through an edge) or at a lower join, so a same-side glue adds no
+    record.  A terminal's trivial walk matches either side: kept once when
+    both children carry it, and replaced by the other child's walk from
+    that terminal when only one does.
+
+Antichain tables.  Once a node's candidates are all offered, every record
+whose give is a strict sub-multiset of the give of another record with the
+same used and single is dropped: its extra spare walks aside, the larger
+record offers the same walks, and each node step is monotone in give (with
+the forget's drop rule, and a per-edge limit that counts only the ends of
+terminal walks at v), so whatever the smaller record leads to, the larger
+one leads to with at least as much give.
 
 Each record keeps one witness: the walks of the first candidate that
 realized it.  A candidate is its endpoint state plus a recipe (a replay of
-forget moves, or the glued chains of a join); the recipe runs only when the
-record is first stored, and child tables are freed once read.
+forget moves, or the glued chains of a join); a table keeps the recipe of
+each new record, and once the dominated records are dropped it runs the
+recipes of the survivors only, one witness per surviving record.  Child
+tables are freed once read.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -179,12 +193,13 @@ def _as_path(g: Multigraph, ends: tuple[int, int], walk: tuple[int, ...]) -> Pat
 
 
 class Witnesses(Mapping):
-    """record -> witness.  Stored as (ends, walks) in `stored`; read as a
+    """record -> witness.  Stored as (ends, walks) in `stored`, or as the
+    candidate (ends, make, args) until the table is settled; read as a
     frozenset of (edges, a, b, verts) walks, built on access."""
 
     def __init__(self, g: Multigraph) -> None:
         self.g = g
-        self.stored: dict[RecordKey, tuple[Ends, Walks]] = {}
+        self.stored: dict[RecordKey, tuple] = {}
 
     def __getitem__(self, rec: RecordKey) -> State:
         ends, walks = self.stored[rec]
@@ -199,18 +214,72 @@ class Witnesses(Mapping):
 
 class Table:
     """record -> witness of the first candidate that realized it
-    (deterministic insertion order)."""
+    (deterministic insertion order).
+
+    While a node's candidates are offered, a record keeps its candidate;
+    settle() then drops the dominated records and builds the witnesses of
+    the others."""
 
     def __init__(self, g: Multigraph) -> None:
         self.records = Witnesses(g)
 
     def add(self, ctx: _Context, state: Candidate) -> None:
-        """Offer a candidate; its recipe runs only when its record is new."""
-        ends, make, args = state
-        rec = _record(ctx, ends)
+        """Offer a candidate; it is kept when its record is new."""
+        rec = _record(ctx, state[0])
         stored = self.records.stored
         if rec is not None and rec not in stored:
+            stored[rec] = state
+
+    def settle(self, prune: bool = True) -> None:
+        """Keep the records whose give is maximal (all of them unless
+        `prune`), and build their walks."""
+        stored = self.records.stored
+        if prune:
+            for rec in _dominated(stored):
+                del stored[rec]
+        for rec, (ends, make, args) in stored.items():
             stored[rec] = (ends, make(*args))
+
+
+def _dominated(records: Collection[RecordKey]) -> set[RecordKey]:
+    """Records whose give is a strict sub-multiset of the give of another
+    record with the same used and single.
+
+    A give is coded as a bit set with one bit per (pair, copy), so a
+    sub-multiset is a subset.  Within one (used, single) group, records are
+    taken by falling size and tested against the maximal ones seen so far."""
+    dropped: set[RecordKey] = set()
+    if len(records) < 2 or not any(rec[1] for rec in records):
+        return dropped
+    first: dict[tuple, RecordKey] = {}  # (used, single) -> its first record
+    groups: dict[tuple, list[RecordKey]] = {}  # the keys of two or more
+    for rec in records:
+        key = rec[0], rec[2]
+        if key in first:
+            groups.setdefault(key, [first[key]]).append(rec)
+        else:
+            first[key] = rec
+    bit: dict[tuple[tuple[int, int], int], int] = {}
+    code: dict[tuple, tuple[int, int]] = {}  # give -> (size, bit set)
+    for group in groups.values():
+        coded = []
+        for rec in group:
+            give = rec[1]
+            if give not in code:
+                mask = 0
+                for pair, count in give:
+                    for k in range(count):
+                        mask |= 1 << bit.setdefault((pair, k), len(bit))
+                code[give] = (mask.bit_count(), mask)
+            coded.append((*code[give], rec))
+        coded.sort(key=itemgetter(0), reverse=True)
+        maximal: list[int] = []
+        for _, mask, rec in coded:
+            if any(mask & top == mask for top in maximal):
+                dropped.add(rec)
+            else:
+                maximal.append(mask)
+    return dropped
 
 
 def _sorted_walks(items: list[tuple[tuple[int, int], tuple[int, ...]]]) -> Walks:
@@ -254,40 +323,55 @@ def _replace(ends: Ends, i: int, j: int, a: int, b: int) -> Ends:
     return tuple(rest)
 
 
-def _edge_moves(ends: Ends, e: int, u: int, v: int, limit: float) -> list[tuple[Ends, Move | None]]:
+def _edge_moves(
+    ends: Ends, e: int, u: int, v: int, limit: float, partner: dict[int, int]
+) -> list[tuple[Ends, Move | None]]:
     """Endpoint states after offering edge e = uv (u stays in the bag, v is
     forgotten), each with the move that realizes it (None: e unused).
-    States with more than `limit` walk ends at v are left out."""
+
+    States in which more than `limit` terminal walks (walks with a terminal
+    end) end at v are left out.  A move's count is taken from the walks it
+    consumes and the terminal walk it extends, so a walk that a join leads
+    back into v is not counted; that only keeps more states, which the
+    record then rejects.  On v's last edge (limit 0) no spare walk is led
+    into v: it would be dropped there, and the same state with the walk
+    left unused has the larger give (a walk closed at u, which no record
+    accepts, is the exception).  A fresh walk is offered only between two
+    non-terminals: a terminal has degree one, and its walk is the trivial
+    one until this edge extends it."""
     at_u = []  # (index, far end) of walks with an end at u
     at_v = []
-    at_v_ends = 0
+    held = 0  # terminal walks ending at v
     for i, (a, b) in enumerate(ends):
         if a == u or b == u:
             at_u.append((i, b if a == u else a))
         if a == v or b == v:
-            at_v.append((i, b if a == v else a))
-            at_v_ends += (a == v) + (b == v)
+            far = b if a == v else a
+            at_v.append((i, far))
+            held += far in partner
     out: list[tuple[Ends, Move | None]] = []
-    if at_v_ends <= limit:
+    if held <= limit:
         out.append((ends, None))
-    if at_v_ends < limit:
-        fresh = list(ends)
-        insort(fresh, (u, v) if u < v else (v, u))
-        out.append((tuple(fresh), (e, u, v, -1, -1)))
-        for i, far in at_u:
+        if limit and u not in partner and v not in partner:
+            fresh = list(ends)
+            insort(fresh, (u, v) if u < v else (v, u))
+            out.append((tuple(fresh), (e, u, v, -1, -1)))
+    for i, far in at_u:
+        if held + (far in partner) <= limit and (limit or far == u):
             out.append((_replace(ends, i, -1, far, v), (e, u, v, i, -1)))
-    if at_v_ends <= limit + 1:
-        for i, far in at_v:
+    for i, far in at_v:
+        if held - (far in partner) <= limit:
             out.append((_replace(ends, i, -1, far, u), (e, v, u, i, -1)))
-        for i, far_u in at_u:
-            for j, far_v in at_v:
-                if i != j:
-                    out.append((_replace(ends, i, j, far_u, far_v), (e, u, v, i, j)))
+    for i, far_u in at_u:
+        for j, far_v in at_v:
+            if i != j and held - (far_v in partner) <= limit:
+                out.append((_replace(ends, i, j, far_u, far_v), (e, u, v, i, j)))
     return out
 
 
-def _forget_walks(ends: Ends, walks: Walks, moves: tuple[Move, ...]) -> Walks:
-    """Replay forget moves on a child witness."""
+def _forget_walks(ends: Ends, walks: Walks, moves: tuple[Move, ...], drop: int) -> Walks:
+    """Replay forget moves on a child witness, then drop the walks with an
+    end at `drop` (0 drops none)."""
     items = list(zip(ends, walks))
     for e, x, y, i, j in moves:
         a, left = x, ()
@@ -300,40 +384,56 @@ def _forget_walks(ends: Ends, walks: Walks, moves: tuple[Move, ...]) -> Walks:
             b, right = (p[1], w) if p[0] == y else (p[0], w[::-1])
         _drop(items, i, j)
         insort(items, _normalized(a, b, left + (e,) + right), key=_end_key)
-    return tuple(w for _, w in items)
+    return tuple(w for p, w in items if drop not in p)
 
 
 def _forget(ctx: _Context, table: Table, child: Table, v: int, links: list[tuple[int, int]]) -> None:
-    """Offer v's edges e to bag vertices u, given as (e, u), one at a time.
+    """Offer v's edges e to bag vertices u, given as (e, u), one at a time,
+    then, when v is no terminal, drop every walk that still ends at v.
 
-    Each edge can take at most one walk end off v, so when v is no terminal
-    a state keeps no more ends at v than edges remain to be offered."""
+    A spare walk there may be left unused, and a terminal walk there leaves
+    its terminal without a walk, which no record accepts.  Dropping keeps
+    the step monotone in give: from a state with extra spare walks, the
+    same moves reach the same states plus those walks, which either still
+    end in the bag or are dropped.  Only terminal walks must leave v, and
+    each edge takes at most one walk end off v, so when v is no terminal a
+    state keeps no more terminal walks at v than edges remain to be
+    offered."""
+    partner = ctx.partner
+    drop = 0 if v in partner else v
     for ends, walks in child.records.stored.values():
         layer: dict[Ends, tuple[Move, ...]] = {ends: ()}
         for done, (e, u) in enumerate(links, start=1):
-            limit = len(links) - done if v not in ctx.partner else inf
+            limit = len(links) - done if drop else inf
             nxt: dict[Ends, tuple[Move, ...]] = {}
             for state, moves in layer.items():
-                for out, move in _edge_moves(state, e, u, v, limit):
+                for out, move in _edge_moves(state, e, u, v, limit, partner):
                     if out not in nxt:
                         nxt[out] = moves if move is None else moves + (move,)
             layer = nxt
+        offered: set[Ends] = set()
         for state, moves in layer.items():
-            table.add(ctx, (state, _forget_walks, (ends, walks, moves)))
+            if drop:
+                state = tuple([p for p in state if drop not in p])
+                if state in offered:
+                    continue  # the same state with other walks dropped
+                offered.add(state)
+            table.add(ctx, (state, _forget_walks, (ends, walks, moves, drop)))
 
 
 # --- join -------------------------------------------------------------------
 
 # One child witness prepared for gluing: terminals with a non-trivial walk,
 # terminal -> its trivial walk, the other walks' ends and walks, and
-# non-terminal vertex -> the walk ends there.  Walk i's ends are numbered
-# 2i (at ends[i][0]) and 2i + 1 (at ends[i][1]).
+# non-terminal vertex x -> (the walk ends at x, and for each of them the
+# terminal at the walk's far end, or 0 for a spare walk).  Walk i's ends are
+# numbered 2i (at ends[i][0]) and 2i + 1 (at ends[i][1]).
 _Side = tuple[
     frozenset[int],
     dict[int, tuple[int, ...]],
     list[tuple[int, int]],
     list[tuple[int, ...]],
-    dict[int, list[int]],
+    dict[int, tuple[list[int], list[int]]],
 ]
 
 
@@ -342,7 +442,7 @@ def _side(partner: dict[int, int], ends: Ends, walks: Walks) -> _Side:
     trivial: dict[int, tuple[int, ...]] = {}
     pieces: list[tuple[int, int]] = []
     piece_walks: list[tuple[int, ...]] = []
-    at: dict[int, list[int]] = {}
+    at: dict[int, tuple[list[int], list[int]]] = {}
     for p, w in zip(ends, walks):
         a, b = p
         if a == b and a in partner:
@@ -351,11 +451,13 @@ def _side(partner: dict[int, int], ends: Ends, walks: Walks) -> _Side:
         k = 2 * len(pieces)
         pieces.append(p)
         piece_walks.append(w)
-        for end, x in ((k, a), (k + 1, b)):
+        for end, x, far in ((k, a, b), (k + 1, b, a)):
             if x in partner:
                 busy.add(x)
             else:
-                at.setdefault(x, []).append(end)
+                site = at.setdefault(x, ([], []))
+                site[0].append(end)
+                site[1].append(far if far in partner else 0)
     return frozenset(busy), trivial, pieces, piece_walks, at
 
 
@@ -369,6 +471,14 @@ def _matchings(m: int, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         rest = [k for k in range(n) if k != j]
         out += [((m - 1, j), *((i, rest[r]) for i, r in ms)) for ms in _matchings(m - 1, n - 1)]
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _matchings_avoiding(
+    m: int, n: int, clash: frozenset[tuple[int, int]]
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The partial matchings of _matchings(m, n) that use no pair in clash."""
+    return tuple(ms for ms in _matchings(m, n) if clash.isdisjoint(ms))
 
 
 def _glue_walks(
@@ -400,7 +510,9 @@ def _glue_walks(
 
 
 def _join(ctx: _Context, table: Table, left: Table, right: Table) -> None:
-    """Unite every pair of child witnesses, with every cross-side glue."""
+    """Unite every pair of child witnesses, with every cross-side glue that
+    does not join two terminal walks of different pairs (their record would
+    be rejected)."""
     partner = ctx.partner
     sides_b = [_side(partner, *w) for w in right.records.stored.values()]
     for witness in left.records.stored.values():
@@ -412,8 +524,24 @@ def _join(ctx: _Context, table: Table, left: Table, right: Table) -> None:
             trivial = [(v, w) for v, w in trivial_a.items() if v in trivial_b]
             pieces = pieces_a + pieces_b
             piece_walks = walks_a + walks_b
-            sites = [(at_a[x], [shift + end for end in at_b[x]]) for x in at_a.keys() & at_b.keys()]
-            for combo in product(*(_matchings(len(ea), len(eb)) for ea, eb in sites)):
+            sites = []
+            choices = []
+            for x in at_a.keys() & at_b.keys():
+                (ea, ta), (eb, tb) = at_a[x], at_b[x]
+                sites.append((ea, [shift + end for end in eb]))
+                matchings = _matchings(len(ea), len(eb))
+                if any(ta) and any(tb):
+                    clash = frozenset(
+                        (i, j)
+                        for i, s in enumerate(ta)
+                        if s
+                        for j, t in enumerate(tb)
+                        if t and partner[s] != t
+                    )
+                    if clash:
+                        matchings = _matchings_avoiding(len(ea), len(eb), clash)
+                choices.append(matchings)
+            for combo in product(*choices):
                 glues = [(ea[i], eb[j]) for matching, (ea, eb) in zip(combo, sites) for i, j in matching]
                 ends = _glued_ends(pieces, glues, trivial)
                 if ends is not None:
@@ -519,10 +647,33 @@ def compute_tables(
             _forget(ctx, table, tables[c], v, links)
         else:  # join
             _join(ctx, table, tables[nd.children[0]], tables[nd.children[1]])
+        # Leaf and introduce steps map an antichain to an antichain.
+        table.settle(prune=nd.kind in ("forget", "join"))
         if free_children:
             for c in nd.children:
                 tables[c] = Table(g)
     return tables, in_y, contexts
+
+
+def _check_covers(td: TreeDecomposition, g: Multigraph) -> None:
+    """Raise ValueError unless every vertex and every edge of g lies in some
+    bag of td.  Reads the incidence list of each bag vertex once per bag."""
+    covered = [False] * g.m
+    placed: set[int] = set()
+    for bag in td.bags:
+        for u in bag:
+            if not 1 <= u <= g.n:
+                raise ValueError(f"decomposition vertex {u} is not in the graph")
+            placed.add(u)
+            for e in g.incident(u):
+                if g.other_end(e, u) in bag:
+                    covered[e] = True
+    if len(placed) < g.n:
+        v = min(set(range(1, g.n + 1)) - placed)
+        raise ValueError(f"vertex {v} of the normalized graph is in no bag")
+    if not all(covered):
+        u, v = g.edges[covered.index(False)]
+        raise ValueError(f"edge ({u}, {v}) of the normalized graph is in no bag")
 
 
 def solve_twdp(
@@ -535,13 +686,19 @@ def solve_twdp(
     k is a treewidth target: on small graphs a proven excess raises
     WidthExceeded (propagated to the caller); the heuristic decomposition
     used on larger graphs never refuses.  A pre-built decomposition can be
-    supplied to pin the decomposition choice (it is made nice internally).
+    supplied to pin the decomposition choice (it is made nice internally);
+    it must cover the normalized graph, terminal leaves included, or
+    ValueError is raised.
     """
     work = normalize_instance(inst)
     g = work.g
     if g.n == 0:
         return SolveResult("yes", PathSet(()))
-    td = decomposition if decomposition is not None else build_tree_decomposition(g, k)
+    if decomposition is None:
+        td = build_tree_decomposition(g, k)
+    else:
+        td = decomposition
+        _check_covers(td, g)
     nice = make_nice(td)
     tables, _, _ = compute_tables(work, nice)
 

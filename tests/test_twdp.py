@@ -181,6 +181,38 @@ def test_record_soundness_and_size_bounds(rng):
 
 
 
+def test_decomposition_must_cover_normalized_graph():
+    # Terminal 2 has degree 2, so normalization hangs leaf 5 on it; a
+    # decomposition of the raw path misses that leaf.
+    inst = EdpInstance(Multigraph(4, [(1, 2), (2, 3), (3, 4)]), (TerminalPair(2, 4),))
+    raw = build_tree_decomposition(inst.g)
+    with pytest.raises(ValueError, match="vertex 5"):
+        solve_twdp(inst, decomposition=raw)
+    # Every vertex of the normalized path 1-2-3 lies in a bag, edge (1, 2)
+    # in none.
+    path = EdpInstance(Multigraph(3, [(1, 2), (2, 3)]), (TerminalPair(1, 3),))
+    assert path.normalized
+    loose = TreeDecomposition([frozenset({2, 3}), frozenset({1})], [-1, 0])
+    with pytest.raises(ValueError, match=r"edge \(1, 2\)"):
+        solve_twdp(path, decomposition=loose)
+    tight = TreeDecomposition([frozenset({2, 3}), frozenset({1, 2})], [-1, 0])
+    assert solve_twdp(path, decomposition=tight).is_yes
+
+
+def test_spare_walk_at_forgotten_vertex_is_dropped():
+    # Found by a search over small random instances: with dominated records
+    # pruned but a spare walk still ending at a forgotten vertex rejected
+    # (the older forget rule), this yes-instance is answered "no".  Where 2
+    # is forgotten, the record with the spare walk 5-2-6 dominates the one
+    # without it, and no state of that walk survives the forget of 5.
+    inst = EdpInstance(
+        Multigraph(6, [(1, 6), (6, 3), (6, 5), (6, 2), (2, 5)]), (TerminalPair(3, 1),)
+    )
+    assert inst.normalized and brute_force_edp(inst).is_yes
+    r = solve_twdp(inst)
+    assert r.is_yes and verify_solution(inst, r.paths).ok
+
+
 def test_terminal_trivial_walk_in_both_join_children():
     # Both children of the join on bag {1, 4} carry terminal 4's trivial
     # walk; the join must keep one copy, or the record is rejected.
@@ -230,3 +262,21 @@ def test_oracle_agreement_property(inst, order_rng):
         assert got.status == want, (inst.g.edges, inst.pairs)
         if got.is_yes:
             assert verify_solution(inst, got.paths).ok
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(bounded_degree_instances())
+def test_tables_are_antichains_in_give(inst):
+    # No stored record's give is a strict sub-multiset of the give of
+    # another record with the same used and single.
+    nice = make_nice(build_tree_decomposition(inst.g))
+    tables, _, _ = compute_tables(inst, nice, free_children=False)
+    for table in tables:
+        groups = {}
+        for used, give, single in table.records:
+            groups.setdefault((used, single), []).append(dict(give))
+        for gives in groups.values():
+            for low in gives:
+                for high in gives:
+                    assert low == high or any(c > high.get(p, 0) for p, c in low.items())
