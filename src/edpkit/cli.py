@@ -36,7 +36,7 @@ from edpkit.reductions import (
     sidon_sequence,
 )
 from edpkit.sedp import NotFvsOne, solve_sedp
-from edpkit.treedec import WidthExceeded, build_tree_decomposition
+from edpkit.treedec import EXACT_LIMIT, WidthExceeded, build_tree_decomposition
 from edpkit.twdp import solve_twdp
 
 EXIT_YES = 0
@@ -147,18 +147,22 @@ def _solve_edp(inst: EdpInstance, engine: str, args: argparse.Namespace) -> tupl
     if engine == "fracture":
         return "fracture", solve_fracture(inst, kmax=args.kmax), ""
     if engine == "twdp":
+        if args.engine == "auto":
+            # Fall back to brute force rather than running the DP on a
+            # decomposition too wide to finish in reasonable time.  The
+            # DP runs on the normalized graph, so the decomposition must
+            # cover the terminal leaves that normalization adds.  Min-fill
+            # stops at the first bag over the cap.  The exact search on
+            # small graphs would raise over it instead, so it gets no cap
+            # and the probe always returns a decomposition.
+            cap = args.width_limit if args.width_limit is not None else 8
+            g = normalize_instance(inst).g
+            td = build_tree_decomposition(g, cap if g.n > EXACT_LIMIT else None)
+            if td.width > cap:
+                b = brute_force_edp(inst, budget=args.budget)
+                return "brute", b, f"decomposition width over auto cap {cap}"
+            return "twdp", solve_twdp(inst, decomposition=td), ""
         try:
-            if args.engine == "auto":
-                # Fall back to brute force rather than running the DP on a
-                # decomposition too wide to finish in reasonable time.  The
-                # DP runs on the normalized graph, so the decomposition must
-                # cover the terminal leaves that normalization adds.
-                td = build_tree_decomposition(normalize_instance(inst).g)
-                cap = args.width_limit if args.width_limit is not None else 8
-                if td.width > cap:
-                    b = brute_force_edp(inst, budget=args.budget)
-                    return "brute", b, f"width {td.width} over auto cap {cap}"
-                return "twdp", solve_twdp(inst, decomposition=td), ""
             return "twdp", solve_twdp(inst, k=args.width_limit), ""
         except WidthExceeded as exc:
             return "twdp", SolveResult("unknown"), str(exc)
@@ -339,7 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
         "pipeline within --kmax, then the treewidth DP, then brute force",
     )
     solve.add_argument("--kmax", type=int, default=4, help="fracture modulator size bound (default 4)")
-    solve.add_argument("--width-limit", type=int, default=None, help="treewidth target for twdp")
+    solve.add_argument(
+        "--width-limit",
+        type=int,
+        default=None,
+        help="twdp refuses (exit 2) a decomposition wider than this; auto sends wider "
+        "instances to brute force (default cap 8)",
+    )
     solve.add_argument("--budget", type=int, default=10**7, help="brute-force node budget (default 1e7)")
     solve.add_argument("--solution", default=None, help="solution output path (default <file>.sol)")
     solve.set_defaults(func=_cmd_solve)

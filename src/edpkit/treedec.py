@@ -2,9 +2,11 @@
 heuristic beyond, and conversion to nice decompositions.
 
 The exact search runs a subset dynamic program over elimination orders
-(feasible up to a dozen vertices) and is the only mode allowed to refuse
-with "width exceeds the target"; the heuristic never refuses but may
-overshoot the optimum.
+(feasible up to a dozen vertices) and refuses a target width below the
+treewidth with WidthExceeded.  The heuristic may overshoot the optimum;
+given a target it stops at the first bag over it and returns a valid
+decomposition whose last bag holds every vertex not yet eliminated, so
+its width is over the target exactly when the full min-fill width is.
 """
 
 from __future__ import annotations
@@ -68,7 +70,9 @@ class TreeDecomposition:
 
 
 class WidthExceeded(Exception):
-    """Raised only when an exact search has proven tw(g) > k."""
+    """A decomposition of width at most the target was not found: raised by
+    build_tree_decomposition when the exact search proves tw(g) > k, and by
+    solve_twdp when the min-fill width is over k."""
 
 
 def build_tree_decomposition(g: Multigraph, k: int | None = None) -> TreeDecomposition:
@@ -76,9 +80,11 @@ def build_tree_decomposition(g: Multigraph, k: int | None = None) -> TreeDecompo
 
     For graphs with at most EXACT_LIMIT vertices the width is optimal and,
     when a target k is given, WidthExceeded is raised iff tw(g) > k.  Larger
-    graphs use the min-fill heuristic, which never refuses; its width may
-    exceed the optimum (and the 5k+4 contract bound), but the decomposition
-    itself is always valid.
+    graphs use the min-fill heuristic, which never raises; its width may
+    exceed the optimum.  With a target k it stops at the first vertex with
+    more than k neighbours and puts it with every vertex left in one last
+    bag, so the width is over k exactly when the full min-fill width is,
+    and the decomposition is the full one when it is not.
     """
     if g.directed:
         raise ValueError("tree decompositions are for undirected graphs")
@@ -89,7 +95,7 @@ def build_tree_decomposition(g: Multigraph, k: int | None = None) -> TreeDecompo
         if k is not None and width > k:
             raise WidthExceeded(f"treewidth {width} exceeds target {k}")
         return _decomposition_from_order(g, order)
-    return _tree_from_bags(*_min_fill_elimination(g))
+    return _tree_from_bags(*_min_fill_elimination(g, k))
 
 
 def _neighbor_masks(g: Multigraph) -> list[int]:
@@ -170,9 +176,13 @@ def _min_fill_order(g: Multigraph) -> list[int]:
     return _min_fill_elimination(g)[0]
 
 
-def _min_fill_elimination(g: Multigraph) -> tuple[list[int], list[frozenset[int]]]:
+def _min_fill_elimination(
+    g: Multigraph, k: int | None = None
+) -> tuple[list[int], list[frozenset[int]]]:
     """Greedy min-fill elimination order, ties going to the lowest id, with
     each vertex's bag: itself and its neighbours when it is eliminated.
+    With k given, the first vertex with more than k neighbours ends the
+    order, and its bag holds it and every vertex not yet eliminated.
 
     Fill counts (missing edges among a vertex's neighbours) live in a heap
     keyed by (fill, v) with lazy deletion (Bodlaender & Koster, Treewidth
@@ -196,6 +206,10 @@ def _min_fill_elimination(g: Multigraph) -> tuple[list[int], list[frozenset[int]
         f, v = heapq.heappop(heap)
         if v not in adj or fill[v] != f:
             continue
+        if k is not None and len(adj[v]) > k:
+            order.append(v)
+            bags.append(frozenset(adj))
+            break
         nb = adj.pop(v)
         order.append(v)
         bags.append(frozenset(nb) | {v})
@@ -248,19 +262,16 @@ def _decomposition_from_order(g: Multigraph, order: list[int]) -> TreeDecomposit
 
 def _tree_from_bags(order: list[int], bags: list[frozenset[int]]) -> TreeDecomposition:
     """Bag i belongs to order[i]; its node hangs off the node of its
-    earliest later bag member."""
-    n = len(order)
+    earliest later bag member.  The last node is the root: a bag member
+    that owns no bag (left in the last bag by a capped min-fill run) counts
+    as the root's, and bags with no later member hang off the root too, to
+    keep one tree."""
+    root = len(order) - 1
     pos = {v: i for i, v in enumerate(order)}
-    parent = [-1] * n
-    for i, v in enumerate(order):
-        rest = [pos[w] for w in bags[i] if w != v]
-        if rest:
-            parent[i] = min(rest)
-    # Tie disconnected pieces under the last node to keep one tree.
-    root = n - 1
-    for i in range(n - 1):
-        if parent[i] < 0:
-            parent[i] = root
+    parent = [-1] * len(order)
+    for i in range(root):
+        v = order[i]
+        parent[i] = min((pos.get(w, root) for w in bags[i] if w != v), default=root)
     return TreeDecomposition(list(bags), parent)
 
 

@@ -683,12 +683,13 @@ def solve_twdp(
 ) -> SolveResult:
     """Decide the instance; on yes return a verified PathSet.
 
-    k is a treewidth target: on small graphs a proven excess raises
-    WidthExceeded (propagated to the caller); the heuristic decomposition
-    used on larger graphs never refuses.  A pre-built decomposition can be
-    supplied to pin the decomposition choice (it is made nice internally);
-    it must cover the normalized graph, terminal leaves included, or
-    ValueError is raised.
+    k is a width target: WidthExceeded is raised, before any table is
+    computed, when the exact treewidth (small graphs) or the min-fill
+    width (larger ones) of the normalized graph is over k.  A pre-built
+    decomposition can be supplied to pin the decomposition choice (it is
+    made nice internally, and k is not checked against it); it must cover
+    the normalized graph, terminal leaves included, or ValueError is
+    raised.
     """
     work = normalize_instance(inst)
     g = work.g
@@ -696,6 +697,8 @@ def solve_twdp(
         return SolveResult("yes", PathSet(()))
     if decomposition is None:
         td = build_tree_decomposition(g, k)
+        if k is not None and td.width > k:
+            raise WidthExceeded(f"min-fill width exceeds target {k}")
     else:
         td = decomposition
         _check_covers(td, g)

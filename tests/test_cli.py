@@ -87,6 +87,21 @@ def test_auto_twdp_with_terminals_on_grid_vertices(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_twdp_honours_width_limit_on_large_graphs(tmp_path, capsys):
+    # A 6x6 grid has min-fill width 6; the DP must not run on it.
+    inst = write(tmp_path, "grid6.edp", grid_text([], [(1, 36), (6, 31)], w=6, h=6))
+    assert main(["solve", "--engine", "twdp", "--width-limit", "3", str(inst)]) == EXIT_UNKNOWN
+    out = capsys.readouterr().out
+    assert "s unknown [twdp]" in out and "exceeds target 3" in out
+
+
+def test_auto_width_cap_on_small_graphs_falls_back_to_brute(tmp_path, capsys):
+    two_triangles = "p edp 6 6 1\ne 1 2\ne 2 3\ne 1 3\ne 4 5\ne 5 6\ne 4 6\nt 1 2\n"
+    inst = write(tmp_path, "tri2.edp", two_triangles)
+    assert main(["solve", "--kmax", "0", "--width-limit", "1", str(inst)]) == EXIT_YES
+    assert "s yes [brute]" in capsys.readouterr().out
+
+
 def test_auto_probes_feedback_vertex_once(tmp_path, monkeypatch):
     calls = []
 

@@ -3,10 +3,12 @@ import sys
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
+from edpkit import cli, treedec
 from edpkit.graph import Multigraph
-from edpkit.instance import EdpInstance, TerminalPair, normalize_instance, verify_solution
+from edpkit.instance import EdpInstance, TerminalPair, normalize_instance, verify_solution, write_instance
 from edpkit.oracle import brute_force_edp
 from edpkit.treedec import (
+    EXACT_LIMIT,
     TreeDecomposition,
     WidthExceeded,
     build_tree_decomposition,
@@ -75,6 +77,44 @@ def test_min_fill_order_matches_full_rescan_on_grids(w, h):
     order = min_fill_order(g)
     assert _min_fill_order(g) == order
     assert _tree_from_bags(*_min_fill_elimination(g)) == _decomposition_from_order(g, order)
+
+
+@st.composite
+def large_graphs(draw):
+    """Graphs above EXACT_LIMIT, which take the min-fill path."""
+    n = draw(st.integers(EXACT_LIMIT + 1, 30))
+    edge = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+    return Multigraph(n, draw(st.lists(edge, max_size=80)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(large_graphs(), st.integers(0, 12))
+def test_capped_min_fill_decides_the_width(g, k):
+    full = build_tree_decomposition(g)
+    capped = build_tree_decomposition(g, k)
+    capped.validate(g)
+    assert (capped.width > k) == (full.width > k)
+    event("over the cap" if full.width > k else "within the cap")
+    if full.width <= k:
+        assert capped == full
+
+
+def test_auto_stops_min_fill_at_the_cap(tmp_path, monkeypatch, capsys):
+    lengths = []
+
+    def counting(g, *cap):
+        order, bags = _min_fill_elimination(g, *cap)
+        lengths.append((len(order), g.n))
+        return order, bags
+
+    monkeypatch.setattr(treedec, "_min_fill_elimination", counting)
+    inst = EdpInstance(grid_graph(30, 30), (TerminalPair(1, 871), TerminalPair(30, 900)))
+    path = tmp_path / "grid30.edp"
+    path.write_text(write_instance(inst), encoding="ascii")
+    assert cli.main(["solve", str(path)]) == cli.EXIT_YES
+    assert "[brute]" in capsys.readouterr().out
+    ((eliminated, n),) = lengths
+    assert eliminated < n
 
 
 def test_make_nice_deep_path_keeps_recursion_limit():
