@@ -685,7 +685,9 @@ def solve_twdp(
 
     k is a width target: WidthExceeded is raised, before any table is
     computed, when the exact treewidth (small graphs) or the min-fill
-    width (larger ones) of the normalized graph is over k.  A pre-built
+    width (larger ones) of the normalized graph is over k.  The DP runs on
+    build_tree_decomposition's choice: the exact decomposition, min-fill's
+    tree, or a path layout of the same width as min-fill's.  A pre-built
     decomposition can be supplied to pin the decomposition choice (it is
     made nice internally, and k is not checked against it); it must cover
     the normalized graph, terminal leaves included, or ValueError is
@@ -698,7 +700,7 @@ def solve_twdp(
     if decomposition is None:
         td = build_tree_decomposition(g, k)
         if k is not None and td.width > k:
-            raise WidthExceeded(f"min-fill width exceeds target {k}")
+            raise WidthExceeded(f"decomposition width exceeds target {k}")
     else:
         td = decomposition
         _check_covers(td, g)

@@ -16,6 +16,7 @@ from edpkit.treedec import (
     _decomposition_from_order,
     _min_fill_elimination,
     _min_fill_order,
+    _path_layout,
     _tree_from_bags,
 )
 from edpkit.twdp import (
@@ -97,6 +98,18 @@ def test_capped_min_fill_decides_the_width(g, k):
     event("over the cap" if full.width > k else "within the cap")
     if full.width <= k:
         assert capped == full
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(large_graphs(), st.integers(0, 12))
+def test_path_layout_is_valid_and_keeps_the_min_fill_width(g, limit):
+    path = _path_layout(g, limit)
+    event("no layout" if path is None else "layout")
+    if path is not None:
+        path.validate(g)
+        assert path.width <= limit
+    min_fill = _tree_from_bags(*_min_fill_elimination(g))
+    assert build_tree_decomposition(g).width == min_fill.width
 
 
 def test_auto_stops_min_fill_at_the_cap(tmp_path, monkeypatch, capsys):
@@ -239,6 +252,18 @@ def test_decomposition_must_cover_normalized_graph():
     assert solve_twdp(path, decomposition=tight).is_yes
 
 
+def test_path_layout_keeps_grid_tables_small():
+    # Min-fill's tree for this 5x6 grid has width 5, like the path layout,
+    # but its joins build a table of 9,941 records.
+    inst = EdpInstance(grid_graph(5, 6), (TerminalPair(1, 30), TerminalPair(5, 26), TerminalPair(3, 28)))
+    work = normalize_instance(inst)
+    nice = make_nice(build_tree_decomposition(work.g))
+    tables, _, _ = compute_tables(work, nice, free_children=False)
+    assert max(len(table.records) for table in tables) < 1000
+    r = solve_twdp(inst)
+    assert r.is_yes and verify_solution(inst, r.paths).ok
+
+
 def test_spare_walk_at_forgotten_vertex_is_dropped():
     # Found by a search over small random instances: with dominated records
     # pruned but a spare walk still ending at a forgotten vertex rejected
@@ -297,7 +322,11 @@ def test_oracle_agreement_property(inst, order_rng):
     event(want)
     order = list(range(1, inst.g.n + 1))
     order_rng.shuffle(order)
-    for td in (build_tree_decomposition(inst.g), _decomposition_from_order(inst.g, order)):
+    tds = [build_tree_decomposition(inst.g), _decomposition_from_order(inst.g, order)]
+    path = _path_layout(inst.g, inst.g.n)
+    if path is not None:
+        tds.append(path)
+    for td in tds:
         got = solve_twdp(inst, decomposition=td)
         assert got.status == want, (inst.g.edges, inst.pairs)
         if got.is_yes:
