@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterator
 
 from edpkit.graph import Multigraph, components_excluding
@@ -110,6 +110,28 @@ def _pad_to_valid(g: Multigraph, x: set[int], forbidden: frozenset[int]) -> set[
     return x
 
 
+def _branch(
+    g: Multigraph, size: int, forbidden: frozenset[int], removed: set[int], budget: int
+) -> set[int] | None:
+    """At most `budget` more allowed vertices whose removal, with `removed`,
+    leaves every component below `size` vertices; None when there are none.
+    Branches on the vertices of the first packed set, lowest first."""
+    # Every modulator hits each packed set, so more than `budget` of them
+    # refute this branch before it is expanded.
+    packed = pack_connected_sets(g, size, removed, budget + 1)
+    if not packed:
+        return set()
+    if len(packed) > budget:
+        return None
+    for v in sorted(packed[0]):
+        if v in forbidden:
+            continue
+        sub = _branch(g, size, forbidden, removed | {v}, budget - 1)
+        if sub is not None:
+            return {v} | sub
+    return None
+
+
 def find_fracture_modulator(
     g: Multigraph,
     k: int,
@@ -133,24 +155,7 @@ def find_fracture_modulator(
         raise ValueError(f"unknown mode: {mode}")
     cap = k
     if mode == "exact":
-
-        def search(removed: set[int], budget: int) -> set[int] | None:
-            # Every modulator hits each packed set, so more than `budget`
-            # of them refute this branch before it is expanded.
-            packed = pack_connected_sets(g, cap + 1, removed, budget + 1)
-            if not packed:
-                return set()
-            if len(packed) > budget:
-                return None
-            for v in sorted(packed[0]):
-                if v in forbidden:
-                    continue
-                sub = search(removed | {v}, budget - 1)
-                if sub is not None:
-                    return {v} | sub
-            return None
-
-        found = search(set(), k)
+        found = _branch(g, cap + 1, forbidden, set(), k)
     else:
         removed: set[int] = set()
         levels = k
@@ -357,10 +362,19 @@ def _enumerate_path_sets(
                 arm2.pop()
                 decided[j] = False
 
-        yield from grow_arm2(v)
+        try:
+            yield from grow_arm2(v)
+        finally:
+            del grow_arm1, grow_arm2
         decided[i] = False
 
-    yield from rec(0)
+    # rec, grow_arm1 and grow_arm2 reach themselves through their own
+    # cells; dropping the names once the search is over frees them by
+    # reference counting instead of leaving cycles for the collector.
+    try:
+        yield from rec(0)
+    finally:
+        del rec
 
 
 def component_signature(
@@ -476,27 +490,19 @@ def component_signature(
                         opts.append(seq)
             options_per_pair.append(opts)
 
-        def expand(i: int, chosen: list[tuple[int, ...]]) -> None:
-            if i == len(routed):
-                alpha = tuple(sorted(canonical_trace(t) for t in chosen))
-                config: Config = (alpha, beta)
-                if config not in signature:
-                    signature[config] = ComponentWitness(
-                        internal=dict(internal),
-                        halves={
-                            j: (half_of[j][inst.pairs[j].s], half_of[j][inst.pairs[j].t])
-                            for j, _, _ in routed
-                        },
-                        supply={key: list(paths) for key, paths in supply.items()},
-                        trace_of={j: chosen[idx] for idx, (j, _, _) in enumerate(routed)},
-                    )
-                return
-            for opt in options_per_pair[i]:
-                chosen.append(opt)
-                expand(i + 1, chosen)
-                chosen.pop()
-
-        expand(0, [])
+        for chosen in product(*options_per_pair):
+            alpha = tuple(sorted(canonical_trace(t) for t in chosen))
+            config: Config = (alpha, beta)
+            if config not in signature:
+                signature[config] = ComponentWitness(
+                    internal=dict(internal),
+                    halves={
+                        j: (half_of[j][inst.pairs[j].s], half_of[j][inst.pairs[j].t])
+                        for j, _, _ in routed
+                    },
+                    supply={key: list(paths) for key, paths in supply.items()},
+                    trace_of={j: chosen[idx] for idx, (j, _, _) in enumerate(routed)},
+                )
     return signature
 
 

@@ -7,6 +7,7 @@ sequences of edge indices for exactly that reason.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -271,6 +272,15 @@ def max_weight_matching(g: Multigraph, weights: Sequence[int] | Callable[[int], 
     index) before delegating to the blossom implementation in networkx.
     Ties between optimal matchings are broken deterministically by the
     sorted construction order below.
+
+    networkx defines classes and recursive closures on every call, and the
+    helper graph caches views that point back to it, so each call leaves
+    reference cycles behind.  The graph is dropped and the young generation
+    collected before returning, which frees them at once even while
+    `edpkit solve` has the collector paused; without it a solve with many
+    matching calls would keep all of them until the pause ends.  Each young
+    collection scans only what was allocated since the previous one, so the
+    total cost stays linear.
     """
     if g.directed:
         raise ValueError("matching is defined for undirected graphs")
@@ -290,6 +300,8 @@ def max_weight_matching(g: Multigraph, weights: Sequence[int] | Callable[[int], 
         h.add_edge(u, v, weight=w, index=idx)
     mate = nx.max_weight_matching(h, maxcardinality=False, weight="weight")
     chosen = frozenset(h.edges[u, v]["index"] for u, v in mate)
+    del h, mate
+    gc.collect(0)
     return Matching(pairs=chosen)
 
 

@@ -213,6 +213,12 @@ def _route_all(
         floor: tuple[int, ...] | None = None
         if symmetric[i]:
             floor = tuple(gmin[e] for e in chosen[-1])
+        if s == t:
+            chosen.append(())
+            if route(i + 1):
+                return True
+            chosen.pop()
+            return False
         on_path = [False] * (g.n + 1)
         walk: list[int] = []
 
@@ -256,18 +262,15 @@ def _route_all(
             on_path[at] = False
             return False
 
-        if s == t:
-            chosen.append(())
-            if route(i + 1):
-                return True
-            chosen.pop()
-            return False
         # The current path provides its own charges; only later demands
         # stay charged during its routing.
         for v, amount in charges[i]:
             endpoint_need[v] -= amount
-        if extend(s, floor is not None):
-            return True
+        try:
+            if extend(s, floor is not None):
+                return True
+        finally:
+            del extend  # extend reaches itself through its own cell
         for v, amount in charges[i]:
             endpoint_need[v] += amount
         return False
@@ -280,6 +283,9 @@ def _route_all(
         found = route(0)
     finally:
         sys.setrecursionlimit(old_limit)
+        # route reaches itself through its own cell; dropping the name
+        # frees the closures by reference counting, with no cycle left.
+        del route
     if found:
         return [prefix[i] + chosen[i] + suffix[i] for i in range(len(demands))]
     return None

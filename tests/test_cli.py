@@ -1,7 +1,11 @@
+import contextlib
+import gc
+import io
 from pathlib import Path
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
 from edpkit import cli, fracture, graph, oracle, reductions, sedp
@@ -17,7 +21,7 @@ from edpkit.cli import (
 )
 from edpkit.graph import find_fvs_one
 from edpkit.graph import Multigraph
-from edpkit.instance import EdpInstance, ParseError, TerminalPair, write_instance
+from edpkit.instance import EdpInstance, ParseError, TerminalPair, parse_instance, write_instance
 from edpkit.oracle import exhaustive_fracture_number
 
 from conftest import grid_graph, star_of_paths
@@ -261,3 +265,171 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     # A value given in one call does not become the default of the next.
     assert cli._parser().parse_args(["solve", "--kmax", "2", "f"]).kmax == 2
     assert cli._parser().parse_args(["solve", "f"]).kmax == 4
+
+
+def hub_trees_text(trees: int) -> str:
+    """Hub 1 with `trees` two-leaf trees r-s, r-t hung off it by 1-r, and
+    the pair (s, t) in each.  sedp runs one matching per tree."""
+    edges, pairs = [], []
+    for i in range(trees):
+        r, s, t = 3 * i + 2, 3 * i + 3, 3 * i + 4
+        edges += [(r, s), (r, t), (1, r)]
+        pairs.append((s, t))
+    lines = [f"p edp {3 * trees + 1} {len(edges)} {len(pairs)}"]
+    lines += [f"e {u} {v}" for u, v in edges]
+    lines += [f"t {a} {b}" for a, b in pairs]
+    return "\n".join(lines) + "\n"
+
+
+def test_collector_state_survives_every_exit(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("engine bug")
+
+    monkeypatch.setattr(cli, "brute_force_edp", broken)
+    p4 = write(tmp_path, "p4.edp", P4)
+    accented = tmp_path / "accented.edp"
+    accented.write_bytes(P4.replace("e 2 3", "c caf\xe9\ne 2 3").encode("latin-1"))
+    runs = [
+        (EXIT_YES, ["solve", str(p4)]),
+        (EXIT_NO, ["solve", str(write(tmp_path, "no.edp", NO_INSTANCE))]),
+        (EXIT_UNKNOWN, ["solve", "--engine", "sedp", str(write(tmp_path, "grid.edp", grid_text([], [(1, 16)])))]),
+        (EXIT_USAGE, ["solve", str(write(tmp_path, "bad.edp", "p edp 2 5 0\ne 1 2\n"))]),
+        (EXIT_USAGE, ["solve", str(accented)]),
+        (EXIT_USAGE, ["verify", str(p4), str(write(tmp_path, "bad.sol", "s yes\npath x: 1\n"))]),
+        (EXIT_INTERNAL, ["solve", "--engine", "brute", str(p4)]),
+    ]
+    was_enabled = gc.isenabled()
+    try:
+        for caller_paused in (False, True):
+            if caller_paused:
+                gc.disable()
+            else:
+                gc.enable()
+            for code, argv in runs:
+                assert main(argv) == code, argv
+                assert gc.isenabled() is not caller_paused, argv
+    finally:
+        if was_enabled:
+            gc.enable()
+    capsys.readouterr()
+
+
+def test_warm_solve_leaves_no_cyclic_garbage(tmp_path, monkeypatch, capsys):
+    # edpkit solve runs with the cyclic collector paused, which is safe
+    # only if no solve leaves reference cycles behind.
+    matchings = []
+
+    def counting(h, target):
+        matchings.append(h.n)
+        return graph.matching_max_cover(h, target)
+
+    monkeypatch.setattr(sedp, "matching_max_cover", counting)
+    hub = write(tmp_path, "hub.edp", hub_trees_text(30))
+    grid = write(tmp_path, "grid.edp", grid_text([], [(1, 16), (4, 13)]))
+    p4 = write(tmp_path, "p4.edp", P4)
+    no = write(tmp_path, "no.edp", NO_INSTANCE)
+    # Hubs 1, 2, 3 joined to each of 4..9: no single feedback vertex, but a
+    # fracture modulator of three vertices.
+    hubs = write(tmp_path, "hubs.edp", "p edp 9 18 2\n" + "".join(
+        f"e {h} {v}\n" for v in range(4, 10) for h in (1, 2, 3)) + "t 4 5\nt 6 7\n")
+    multi = write(tmp_path, "three.muedp", "p muedp 4 5 1\ne 1 2\ne 2 3\ne 3 4\ne 4 1\ne 1 3\nt 1 3 3\n")
+    runs = [
+        ["--engine", "auto", str(hub)],
+        ["--engine", "sedp", str(hub)],
+        ["--engine", "auto", str(grid)],
+        ["--engine", "auto", str(hubs)],
+        ["--engine", "twdp", str(grid)],
+        ["--engine", "fracture", str(hubs)],
+        ["--engine", "fracture", str(no)],
+        ["--engine", "brute", str(grid)],
+        ["--engine", "brute", str(no)],
+        ["--engine", "brute", "--budget", "5", str(grid)],
+        ["--engine", "brute", str(multi)],
+    ]
+    main(["solve", str(p4)])  # builds the parser once per process
+    was_enabled = gc.isenabled()
+    try:
+        for argv in runs:
+            gc.collect()
+            gc.disable()
+            main(["solve", "--solution", str(tmp_path / "out.sol"), *argv])
+            assert gc.collect() == 0, argv
+    finally:
+        if was_enabled:
+            gc.enable()
+    out = capsys.readouterr().out
+    assert len(matchings) >= 60
+    assert out.count("s yes") == 9 and out.count("s no") == 2 and out.count("s unknown") == 1, out
+    assert out.count("[fracture]") == 3 and out.count("[twdp]") == 2, out
+
+
+# A 2x3 grid with two pairs, and a solution file for it.
+GRID_2X3 = "c a 2x3 grid\np edp 6 7 2\ne 1 2\ne 2 3\ne 4 5\ne 5 6\ne 1 4\ne 2 5\ne 3 6\nt 1 6\nt 2 5\n"
+GRID_2X3_SOL = "c paths list 1-based edge lines\ns yes\npath 1: 1 2 7\npath 2: 6\n"
+
+mutations = st.lists(
+    st.tuples(st.sampled_from(["delete", "duplicate", "swap", "truncate"]), st.integers(0, 999), st.integers(0, 999)),
+    max_size=4,
+)
+
+
+def mutate(text: str, ops) -> str:
+    """Apply line deletions and duplications, swaps of two whitespace
+    tokens anywhere in the file, and truncations at a character."""
+    for op, a, b in ops:
+        lines = text.splitlines(keepends=True)
+        if op == "truncate":
+            text = text[: a % (len(text) + 1)]
+        elif not lines:
+            continue
+        elif op == "delete":
+            del lines[a % len(lines)]
+            text = "".join(lines)
+        elif op == "duplicate":
+            i = a % len(lines)
+            lines.insert(i, lines[i])
+            text = "".join(lines)
+        else:
+            rows = [line.split() for line in lines]
+            slots = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
+            if not slots:
+                continue
+            (r1, c1), (r2, c2) = slots[a % len(slots)], slots[b % len(slots)]
+            rows[r1][c1], rows[r2][c2] = rows[r2][c2], rows[r1][c1]
+            text = "".join(" ".join(row) + "\n" for row in rows)
+    return text
+
+
+def parses(parse, text: str) -> bool:
+    try:
+        parse(text)
+    except ParseError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(inst_ops=mutations, sol_ops=mutations)
+def test_mutated_files_exit_usage_exactly_on_parse_errors(tmp_path_factory, inst_ops, sol_ops):
+    # A file that does not parse must exit 64, never 1, which reads as "no".
+    # Validity is decided by the parsers alone; main must not raise either.
+    work = tmp_path_factory.mktemp("mutant")
+    inst_text, sol_text = mutate(GRID_2X3, inst_ops), mutate(GRID_2X3_SOL, sol_ops)
+    inst = write(work, "m.edp", inst_text)
+    sol = write(work, "m.sol", sol_text)
+    inst_ok = parses(parse_instance, inst_text)
+    sol_ok = parses(parse_solution, sol_text)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        solved = main(["solve", "--solution", str(work / "out.sol"), str(inst)])
+        verified = main(["verify", str(inst), str(sol)])
+    assert gc.isenabled()
+    if not inst_ops and not sol_ops:
+        assert solved == verified == EXIT_YES
+    if inst_ok:
+        assert solved in (EXIT_YES, EXIT_NO, EXIT_UNKNOWN), inst_text
+    else:
+        assert solved == EXIT_USAGE, inst_text
+    if inst_ok and sol_ok:
+        assert verified in (EXIT_YES, EXIT_NO), (inst_text, sol_text)
+    else:
+        assert verified == EXIT_USAGE, (inst_text, sol_text)
