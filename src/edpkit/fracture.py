@@ -589,48 +589,41 @@ def build_selector_program(
     return SelectorProgram(program, variables, class_members, class_configs)
 
 
-def _terminal_free_for(
-    inst: EdpInstance, x0: FractureModulator, approx: bool
-) -> FractureModulator | None:
+def _terminal_free_for(inst: EdpInstance, x0: FractureModulator) -> FractureModulator | None:
     """Terminal-free modulator for the instance, preferring an equally small
     terminal-avoiding search over the doubling exchange; None when even the
     exchange cannot reach validity."""
     terminals = frozenset(inst.terminals)
     if not (x0.vertices & terminals):
         return x0
-    aug = augmented_graph(inst)
-    if not approx:
-        alt = find_fracture_modulator(aug, x0.k, "exact", forbidden=terminals)
-        if alt is not None:
-            return alt
+    alt = find_fracture_modulator(augmented_graph(inst), x0.k, "exact", forbidden=terminals)
+    if alt is not None:
+        return alt
     try:
         return terminal_free_modulator(inst, x0)
     except NoModulator:
         return None
 
 
-def solve_fracture(inst: EdpInstance, kmax: int, approx_modulator: bool = False) -> SolveResult:
+def solve_fracture(inst: EdpInstance, kmax: int) -> SolveResult:
     """Decide the instance via the fracture pipeline; on yes return a
-    verified PathSet.  Returns status "modulator-exceeded" when no fracture
-    modulator of the augmented graph within kmax exists (exact search) or
-    none was found (approx mode)."""
+    verified PathSet.  The modulator is the smallest one the exact search
+    finds; status "modulator-exceeded" is returned when the augmented graph
+    has no fracture modulator of size at most kmax."""
     work = normalize_instance(inst)
     aug = augmented_graph(work)
 
-    if approx_modulator:
-        x0 = find_fracture_modulator(aug, kmax, "approx")
-    else:
-        x0 = None
-        for k in range(0, kmax + 1):
-            x0 = find_fracture_modulator(aug, k, "exact")
-            if x0 is not None:
-                break
+    x0 = None
+    for k in range(0, kmax + 1):
+        x0 = find_fracture_modulator(aug, k, "exact")
+        if x0 is not None:
+            break
     if x0 is None:
         return SolveResult("modulator-exceeded")
 
     base = work
     rescue_map: tuple[int, ...] | None = None
-    x = _terminal_free_for(base, x0, approx_modulator)
+    x = _terminal_free_for(base, x0)
     if x is None:
         # Too few non-terminal vertices for any terminal-free modulator;
         # give every terminal a dedicated buffer neighbor and redo the
@@ -643,7 +636,7 @@ def solve_fracture(inst: EdpInstance, kmax: int, approx_modulator: bool = False)
             if x0b is not None:
                 break
         assert x0b is not None, "buffered instance lost its modulator"
-        x = _terminal_free_for(base, x0b, approx_modulator)
+        x = _terminal_free_for(base, x0b)
         assert x is not None, "buffered instance still lacks a terminal-free modulator"
 
     prep, x, edge_map = prepare_fracture(base, x)

@@ -14,7 +14,7 @@ of (a, b) end pairs, a <= b, of a family of edge-disjoint walks in the
 subgraph below the node, bag-internal edges excluded.  No vertex sets are
 kept, so a walk may revisit a vertex but never an edge.  verify_solution
 accepts such edge-simple walks, and shortcut_walk turns the root's walks
-into paths.  A record is a function of the ends alone (derive_record), so a
+into paths.  A record is a function of the ends alone (_record), so a
 stored record is realized by its witness, and a record that some walk family
 realizes is stored unless a stored record dominates it (below).  The degree
 bound caps multiplicities: a bag vertex of degree d meets at most d walks.
@@ -44,24 +44,24 @@ the forget's drop rule, and a per-edge limit that counts only the ends of
 terminal walks at v), so whatever the smaller record leads to, the larger
 one leads to with at least as much give.
 
-Each record keeps one witness: the walks of the first candidate that
-realized it.  A candidate is its endpoint state plus a recipe (a replay of
-forget moves, or the glued chains of a join); a table keeps the recipe of
-each new record, and once the dominated records are dropped it runs the
-recipes of the survivors only, one witness per surviving record.  Child
-tables are freed once read.
+Each record keeps one witness: the ends and walks of the first candidate
+that realized it.  A candidate is its endpoint state plus a recipe (a
+replay of forget moves, or the glued chains of a join); a table keeps the
+recipe of each new record, and once the dominated records are dropped it
+runs the recipes of the survivors only, one witness per surviving record.
+Child tables are freed once read.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Collection, Mapping
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from math import inf
 from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Callable
 
 from edpkit.graph import Multigraph
 from edpkit.instance import (
@@ -86,9 +86,6 @@ Ends = tuple[tuple[int, int], ...]
 Walks = tuple[tuple[int, ...], ...]
 # A candidate: its endpoint state and the recipe that builds its walks.
 Candidate = tuple[Ends, Callable[..., Walks], tuple]
-# A witness walk as read from Table.records: (edges, a, b, vertex_frozenset).
-Path = tuple[tuple[int, ...], int, int, frozenset[int]]
-State = frozenset[Path]
 
 RecordKey = tuple[
     tuple[tuple[int, int], ...],  # used, sorted with multiplicity
@@ -107,10 +104,9 @@ class _Context:
     """Fixed data the derivation needs at one decomposition node."""
 
     bag: frozenset[int]
-    in_y: frozenset[int]
     partner: dict[int, int]
     delta: int
-    terminals: frozenset[int]  # the terminals in in_y
+    terminals: frozenset[int]  # the terminals in the processed subgraph
     # Pairs (s, t), s < t, with both terminals processed, and the sorted
     # processed terminals whose partner is not.
     closing: list[tuple[int, int]] = field(init=False, repr=False)
@@ -176,69 +172,32 @@ def _record(ctx: _Context, ends) -> RecordKey | None:
     return (tuple(used), tuple(sorted(gives.items())), tuple(single))
 
 
-def derive_record(ctx: _Context, state: State) -> RecordKey | None:
-    """Record realized by a witness (a collection of (edges, a, b, verts)
-    walks), or None when the collection realizes none."""
-    return _record(ctx, [(a, b) if a <= b else (b, a) for _, a, b, _ in state])
-
-
-def _as_path(g: Multigraph, ends: tuple[int, int], walk: tuple[int, ...]) -> Path:
-    a, b = ends
-    verts = {a}
-    cur = a
-    for e in walk:
-        cur = g.other_end(e, cur)
-        verts.add(cur)
-    return (walk, a, b, frozenset(verts))
-
-
-class Witnesses(Mapping):
-    """record -> witness.  Stored as (ends, walks) in `stored`, or as the
-    candidate (ends, make, args) until the table is settled; read as a
-    frozenset of (edges, a, b, verts) walks, built on access."""
-
-    def __init__(self, g: Multigraph) -> None:
-        self.g = g
-        self.stored: dict[RecordKey, tuple] = {}
-
-    def __getitem__(self, rec: RecordKey) -> State:
-        ends, walks = self.stored[rec]
-        return frozenset(_as_path(self.g, p, w) for p, w in zip(ends, walks))
-
-    def __iter__(self) -> Iterator[RecordKey]:
-        return iter(self.stored)
-
-    def __len__(self) -> int:
-        return len(self.stored)
-
-
 class Table:
-    """record -> witness of the first candidate that realized it
-    (deterministic insertion order).
+    """One node's records: record -> (ends, walks), the witness of the first
+    candidate that realized it (deterministic insertion order).
 
-    While a node's candidates are offered, a record keeps its candidate;
-    settle() then drops the dominated records and builds the witnesses of
-    the others."""
+    While a node's candidates are offered, a record maps to its candidate
+    (ends, make, args); settle() then drops the dominated records and builds
+    the witnesses of the others."""
 
-    def __init__(self, g: Multigraph) -> None:
-        self.records = Witnesses(g)
+    def __init__(self) -> None:
+        self.records: dict[RecordKey, tuple] = {}
 
     def add(self, ctx: _Context, state: Candidate) -> None:
         """Offer a candidate; it is kept when its record is new."""
         rec = _record(ctx, state[0])
-        stored = self.records.stored
-        if rec is not None and rec not in stored:
-            stored[rec] = state
+        if rec is not None and rec not in self.records:
+            self.records[rec] = state
 
     def settle(self, prune: bool = True) -> None:
         """Keep the records whose give is maximal (all of them unless
         `prune`), and build their walks."""
-        stored = self.records.stored
+        records = self.records
         if prune:
-            for rec in _dominated(stored):
-                del stored[rec]
-        for rec, (ends, make, args) in stored.items():
-            stored[rec] = (ends, make(*args))
+            for rec in _dominated(records):
+                del records[rec]
+        for rec, (ends, make, args) in records.items():
+            records[rec] = (ends, make(*args))
 
 
 def _dominated(records: Collection[RecordKey]) -> set[RecordKey]:
@@ -401,7 +360,7 @@ def _forget(ctx: _Context, table: Table, child: Table, v: int, links: list[tuple
     offered."""
     partner = ctx.partner
     drop = 0 if v in partner else v
-    for ends, walks in child.records.stored.values():
+    for ends, walks in child.records.values():
         layer: dict[Ends, tuple[Move, ...]] = {ends: ()}
         for done, (e, u) in enumerate(links, start=1):
             limit = len(links) - done if drop else inf
@@ -514,8 +473,8 @@ def _join(ctx: _Context, table: Table, left: Table, right: Table) -> None:
     does not join two terminal walks of different pairs (their record would
     be rejected)."""
     partner = ctx.partner
-    sides_b = [_side(partner, *w) for w in right.records.stored.values()]
-    for witness in left.records.stored.values():
+    sides_b = [_side(partner, *w) for w in right.records.values()]
+    for witness in left.records.values():
         busy_a, trivial_a, pieces_a, walks_a, at_a = _side(partner, *witness)
         shift = 2 * len(pieces_a)
         for busy_b, trivial_b, pieces_b, walks_b, at_b in sides_b:
@@ -585,12 +544,11 @@ def compute_tables(
     work: EdpInstance,
     nice: NiceTreeDecomposition,
     free_children: bool = True,
-) -> tuple[list[Table], list[frozenset[int]], list[_Context]]:
-    """Run the record DP over a nice decomposition of a normalized instance.
-
-    Returns the per-node tables (children freed unless requested otherwise),
-    the per-node processed vertex sets, and the derivation contexts.
-    """
+) -> list[Table]:
+    """Run the record DP over a nice decomposition of a normalized instance
+    and return the per-node tables.  A child's table is emptied once its
+    parent is computed, so only the root's records remain, unless
+    `free_children` is False."""
     g = work.g
     delta = max(g.max_degree(), 1)
     partner: dict[int, int] = {}
@@ -599,24 +557,18 @@ def compute_tables(
         partner[p.t] = p.s
 
     nodes = nice.nodes
-    tables: list[Table] = [Table(g) for _ in nodes]
-    in_y: list[frozenset[int]] = [frozenset()] * len(nodes)
+    tables: list[Table] = [Table() for _ in nodes]
     terminals: list[frozenset[int]] = [frozenset()] * len(nodes)
-    contexts: list[_Context] = []
     for i, nd in enumerate(nodes):
         if nd.kind == "forget":
-            # A forget node processes what its child did: share the sets.
+            # A forget node processes what its child did: share the set.
             (c,) = nd.children
-            in_y[i], terminals[i] = in_y[c], terminals[c]
+            terminals[i] = terminals[c]
         else:
-            in_y[i] = nd.bag.union(*(in_y[c] for c in nd.children))
             terminals[i] = frozenset(v for v in nd.bag if v in partner).union(
                 *(terminals[c] for c in nd.children)
             )
-        ctx = _Context(
-            bag=nd.bag, in_y=in_y[i], partner=partner, delta=delta, terminals=terminals[i]
-        )
-        contexts.append(ctx)
+        ctx = _Context(bag=nd.bag, partner=partner, delta=delta, terminals=terminals[i])
         table = tables[i]
         if nd.kind == "leaf":
             (v,) = nd.bag
@@ -628,7 +580,7 @@ def compute_tables(
             (c,) = nd.children
             v = nd.vertex
             assert v is not None
-            for ends, walks in tables[c].records.stored.values():
+            for ends, walks in tables[c].records.values():
                 if v in partner:
                     more = list(ends)
                     insort(more, (v, v))
@@ -651,8 +603,8 @@ def compute_tables(
         table.settle(prune=nd.kind in ("forget", "join"))
         if free_children:
             for c in nd.children:
-                tables[c] = Table(g)
-    return tables, in_y, contexts
+                tables[c] = Table()
+    return tables
 
 
 def _check_covers(td: TreeDecomposition, g: Multigraph) -> None:
@@ -705,9 +657,9 @@ def solve_twdp(
         td = decomposition
         _check_covers(td, g)
     nice = make_nice(td)
-    tables, _, _ = compute_tables(work, nice)
+    tables = compute_tables(work, nice)
 
-    witness = tables[nice.root].records.stored.get(EMPTY_RECORD)
+    witness = tables[nice.root].records.get(EMPTY_RECORD)
     if witness is None:
         return SolveResult("no")
     # At the root every pair is closed by one walk with ends (s, t).

@@ -318,29 +318,6 @@ def test_oracle_agreement(rng):
             assert verify_solution(inst, got.paths).ok
 
 
-def test_approx_modulator_oracle_agreement(rng):
-    """The approximate modulator may refuse, but never changes a verdict.
-    The first instance's selector program has 27,428 variables."""
-    edges = [(3, 6), (9, 5), (6, 4), (3, 5), (1, 9), (7, 2), (2, 3), (7, 6), (4, 7), (5, 4), (1, 6), (9, 2), (2, 5), (6, 4), (8, 2)]
-    cases = [(EdpInstance(Multigraph(9, edges), (TerminalPair(5, 2), TerminalPair(4, 1))), 4)]
-    for i in range(90):
-        n = rng.randint(4, 8)
-        g = Multigraph(n, [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(3, 12))])
-        ends = rng.sample(range(1, n + 1), 4)
-        pairs = (TerminalPair(ends[0], ends[1]), TerminalPair(ends[2], ends[3]))[: rng.randint(1, 2)]
-        cases.append((EdpInstance(g, pairs), 1 + i % 3))
-    statuses = []
-    for inst, kmax in cases:
-        got = solve_fracture(inst, kmax, approx_modulator=True)
-        statuses.append(got.status)
-        if got.status != "modulator-exceeded":
-            assert got.status == brute_force_edp(inst).status, (inst.g.edges, inst.pairs, kmax)
-        if got.is_yes:
-            assert verify_solution(inst, got.paths).ok
-    assert statuses[0] == "yes"
-    assert set(statuses) == {"yes", "no", "modulator-exceeded"}
-
-
 def test_terminal_buffering_rescue(monkeypatch, rng):
     """When no terminal-free modulator can be valid, solve_fracture buffers
     the terminals, searches again and maps paths back through the

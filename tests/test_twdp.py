@@ -21,8 +21,9 @@ from edpkit.treedec import (
 )
 from edpkit.twdp import (
     EMPTY_RECORD,
+    _Context,
+    _record,
     compute_tables,
-    derive_record,
     record_space_bound,
     solve_twdp,
 )
@@ -148,7 +149,7 @@ def test_leaf_node_records():
     )
     td = build_tree_decomposition(inst.g)
     nice = make_nice(td)
-    tables, _, _ = compute_tables(inst, nice, free_children=False)
+    tables = compute_tables(inst, nice, free_children=False)
     leaf_idx = next(i for i, nd in enumerate(nice.nodes) if nd.kind == "leaf")
     assert list(tables[leaf_idx].records) == [EMPTY_RECORD]
     # terminal leaf: single entry anchored at itself
@@ -157,7 +158,7 @@ def test_leaf_node_records():
     )
     td2 = build_tree_decomposition(inst2.g)
     nice2 = make_nice(td2)
-    tables2, _, _ = compute_tables(inst2, nice2, free_children=False)
+    tables2 = compute_tables(inst2, nice2, free_children=False)
     for i, nd in enumerate(nice2.nodes):
         if nd.kind == "leaf":
             (v,) = nd.bag
@@ -205,32 +206,62 @@ def test_record_soundness_and_size_bounds(rng):
     for _ in range(25):
         inst = random_bounded_degree_instance(rng, max_n=9)
         nice = make_nice(build_tree_decomposition(inst.g))
-        tables, in_y, contexts = compute_tables(inst, nice, free_children=False)
+        tables = compute_tables(inst, nice, free_children=False)
         delta = max(inst.g.max_degree(), 1)
         partner = {}
         for p in inst.pairs:
             partner[p.s] = p.t
             partner[p.t] = p.s
+        processed = []  # the union of the bags below each node
         for i, nd in enumerate(nice.nodes):
-            ctx = contexts[i]
-            for rec, witness in tables[i].records.items():
-                # witness paths live in the processed subgraph, below the
-                # bag, with no bag-internal edges, and are edge-disjoint
+            in_y = nd.bag.union(*(processed[c] for c in nd.children))
+            processed.append(in_y)
+            ctx = _Context(
+                bag=nd.bag, partner=partner, delta=delta,
+                terminals=frozenset(t for t in in_y if t in partner),
+            )
+            for rec, (ends, walks) in tables[i].records.items():
+                # witness walks run between their ends in the processed
+                # subgraph, with no bag-internal edges, and are edge-disjoint
                 seen_edges = set()
-                for edges, a, b, verts in witness:
-                    assert verts <= in_y[i]
-                    for e in edges:
+                for (a, b), walk in zip(ends, walks, strict=True):
+                    cur = a
+                    for e in walk:
                         u, v = inst.g.edges[e]
+                        assert cur in (u, v)
+                        cur = v if cur == u else u
+                        assert u in in_y and v in in_y
                         assert not (u in nd.bag and v in nd.bag)
                         assert e not in seen_edges
                         seen_edges.add(e)
-                assert derive_record(ctx, witness) == rec
+                    assert cur == b
+                assert _record(ctx, ends) == rec
             opens = sum(
-                1 for t in in_y[i] if t in partner and partner[t] not in in_y[i]
+                1 for t in in_y if t in partner and partner[t] not in in_y
             )
             assert len(tables[i].records) <= record_space_bound(
                 len(nd.bag), delta, opens
             )
+
+
+def test_default_keeps_only_the_root_table():
+    # Children's tables are emptied once read, which keeps a long
+    # decomposition's memory to a few tables.
+    inst = normalize_instance(
+        EdpInstance(grid_graph(3, 6), (TerminalPair(1, 18), TerminalPair(3, 16)))
+    )
+    nice = make_nice(build_tree_decomposition(inst.g))
+    tables = compute_tables(inst, nice)
+    assert list(tables[nice.root].records) == [EMPTY_RECORD]
+    assert all(not table.records for i, table in enumerate(tables) if i != nice.root)
+
+
+def test_long_decomposition_grid():
+    # A 3 x 100 grid: a decomposition of a few hundred nodes.
+    n = 300
+    inst = EdpInstance(grid_graph(3, n // 3), (TerminalPair(1, n), TerminalPair(3, n - 2)))
+    r = solve_twdp(inst)
+    assert r.is_yes and verify_solution(inst, r.paths).ok
 
 
 
@@ -258,7 +289,7 @@ def test_path_layout_keeps_grid_tables_small():
     inst = EdpInstance(grid_graph(5, 6), (TerminalPair(1, 30), TerminalPair(5, 26), TerminalPair(3, 28)))
     work = normalize_instance(inst)
     nice = make_nice(build_tree_decomposition(work.g))
-    tables, _, _ = compute_tables(work, nice, free_children=False)
+    tables = compute_tables(work, nice, free_children=False)
     assert max(len(table.records) for table in tables) < 1000
     r = solve_twdp(inst)
     assert r.is_yes and verify_solution(inst, r.paths).ok
@@ -340,7 +371,7 @@ def test_tables_are_antichains_in_give(inst):
     # No stored record's give is a strict sub-multiset of the give of
     # another record with the same used and single.
     nice = make_nice(build_tree_decomposition(inst.g))
-    tables, _, _ = compute_tables(inst, nice, free_children=False)
+    tables = compute_tables(inst, nice, free_children=False)
     for table in tables:
         groups = {}
         for used, give, single in table.records:
