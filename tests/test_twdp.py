@@ -225,6 +225,7 @@ def test_record_soundness_and_size_bounds(rng):
                 # subgraph, with no bag-internal edges, and are edge-disjoint
                 seen_edges = set()
                 for (a, b), walk in zip(ends, walks, strict=True):
+                    assert a in in_y and b in in_y  # also for empty walks
                     cur = a
                     for e in walk:
                         u, v = inst.g.edges[e]
