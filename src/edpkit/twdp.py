@@ -21,10 +21,11 @@ bound caps multiplicities: a bag vertex of degree d meets at most d walks.
 
   - Introduce adds the trivial (v, v) walk of a terminal v.
   - Forget offers v's edges to the bag one at a time, with one
-    deduplicated set of endpoint states per edge: the edge stays unused,
-    starts a walk, extends a walk at one end, or joins two walks.  A spare
-    walk (no terminal end) that still ends at v after the last edge is
-    dropped, since a spare walk may always be left unused.
+    deduplicated set of endpoint states per edge, shared by all child
+    records of the forget node: the edge stays unused, starts a walk,
+    extends a walk at one end, or joins two walks.  A spare walk (no
+    terminal end) that still ends at v after the last edge is dropped,
+    since a spare walk may always be left unused.
   - Join unites the two children's families and glues walk ends at
     non-terminal bag vertices, but only an end from one child to an end
     from the other, and never two terminal walks of different pairs.  Two
@@ -357,27 +358,38 @@ def _forget(ctx: _Context, table: Table, child: Table, v: int, links: list[tuple
     end in the bag or are dropped.  Only terminal walks must leave v, and
     each edge takes at most one walk end off v, so when v is no terminal a
     state keeps no more terminal walks at v than edges remain to be
-    offered."""
+    offered.
+
+    One deduplicated state set per edge serves the whole forget node: a
+    layer maps each state to its first derivation (child ends, child walks,
+    moves), child records taken in table order.  A state's continuations do
+    not depend on the record it came from, so a state that two child
+    records reach is extended and recorded once, with the derivation from
+    the first of them."""
     partner = ctx.partner
     drop = 0 if v in partner else v
-    for ends, walks in child.records.values():
-        layer: dict[Ends, tuple[Move, ...]] = {ends: ()}
-        for done, (e, u) in enumerate(links, start=1):
-            limit = len(links) - done if drop else inf
-            nxt: dict[Ends, tuple[Move, ...]] = {}
-            for state, moves in layer.items():
-                for out, move in _edge_moves(state, e, u, v, limit, partner):
-                    if out not in nxt:
-                        nxt[out] = moves if move is None else moves + (move,)
-            layer = nxt
-        offered: set[Ends] = set()
-        for state, moves in layer.items():
-            if drop:
-                state = tuple([p for p in state if drop not in p])
-                if state in offered:
-                    continue  # the same state with other walks dropped
-                offered.add(state)
-            table.add(ctx, (state, _forget_walks, (ends, walks, moves, drop)))
+    # Distinct records have distinct ends, since a record is a function of
+    # its ends.
+    layer: dict[Ends, tuple[Ends, Walks, tuple[Move, ...]]] = {
+        ends: (ends, walks, ()) for ends, walks in child.records.values()
+    }
+    for done, (e, u) in enumerate(links, start=1):
+        limit = len(links) - done if drop else inf
+        nxt: dict[Ends, tuple[Ends, Walks, tuple[Move, ...]]] = {}
+        for state, derivation in layer.items():
+            for out, move in _edge_moves(state, e, u, v, limit, partner):
+                if out not in nxt:
+                    ends, walks, moves = derivation
+                    nxt[out] = derivation if move is None else (ends, walks, moves + (move,))
+        layer = nxt
+    offered: set[Ends] = set()
+    for state, (ends, walks, moves) in layer.items():
+        if drop:
+            state = tuple([p for p in state if drop not in p])
+            if state in offered:
+                continue  # the same state with other walks dropped
+            offered.add(state)
+        table.add(ctx, (state, _forget_walks, (ends, walks, moves, drop)))
 
 
 # --- join -------------------------------------------------------------------

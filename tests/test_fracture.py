@@ -2,7 +2,7 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
 from edpkit import fracture
@@ -316,6 +316,31 @@ def test_oracle_agreement(rng):
         assert want.status == got.status, (inst.g.edges, inst.pairs)
         if got.is_yes:
             assert verify_solution(inst, got.paths).ok
+
+
+@st.composite
+def fractured_instances(draw, kmax=3):
+    """Normalized instances of 2-9 vertices and 1-3 pairs whose augmented
+    graph has a fracture modulator of at most kmax vertices."""
+    g = draw(multigraphs(max_n=9, max_edges=14))
+    assume(g.n >= 2)
+    k = draw(st.integers(1, min(3, g.n // 2)))
+    ends = draw(st.permutations(range(1, g.n + 1)))[: 2 * k]
+    pairs = tuple(TerminalPair(ends[2 * i], ends[2 * i + 1]) for i in range(k))
+    inst = normalize_instance(EdpInstance(g, pairs))
+    assume(exhaustive_fracture_number(augmented_graph(inst), kmax) is not None)
+    return inst
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(fractured_instances())
+def test_oracle_agreement_property(inst):
+    want = brute_force_edp(inst).status
+    event(want)
+    got = solve_fracture(inst, 3)
+    assert got.status == want, (inst.g.edges, inst.pairs)
+    if got.is_yes:
+        assert verify_solution(inst, got.paths).ok
 
 
 def test_terminal_buffering_rescue(monkeypatch, rng):

@@ -1,9 +1,11 @@
 import sys
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from edpkit import cli, treedec
+from edpkit import cli, treedec, twdp
 from edpkit.graph import Multigraph
 from edpkit.instance import EdpInstance, TerminalPair, normalize_instance, verify_solution, write_instance
 from edpkit.oracle import brute_force_edp
@@ -29,6 +31,7 @@ from edpkit.twdp import (
 )
 
 from conftest import grid_graph, multigraphs, random_bounded_degree_instance, random_multigraph
+from forget_oracle import forget_per_record
 from minfill_oracle import min_fill_order
 
 
@@ -346,23 +349,78 @@ def bounded_degree_instances(draw):
     return inst
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(bounded_degree_instances(), st.randoms(use_true_random=False))
-def test_oracle_agreement_property(inst, order_rng):
-    want = brute_force_edp(inst).status
-    event(want)
+def three_decompositions(inst, order_rng):
+    """Min-fill's (or the exact) decomposition, one from a shuffled
+    elimination order, and the path layout when there is one."""
     order = list(range(1, inst.g.n + 1))
     order_rng.shuffle(order)
     tds = [build_tree_decomposition(inst.g), _decomposition_from_order(inst.g, order)]
     path = _path_layout(inst.g, inst.g.n)
     if path is not None:
         tds.append(path)
-    for td in tds:
+    return tds
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(bounded_degree_instances(), st.randoms(use_true_random=False))
+def test_oracle_agreement_property(inst, order_rng):
+    want = brute_force_edp(inst).status
+    event(want)
+    for td in three_decompositions(inst, order_rng):
         got = solve_twdp(inst, decomposition=td)
         assert got.status == want, (inst.g.edges, inst.pairs)
         if got.is_yes:
             assert verify_solution(inst, got.paths).ok
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(bounded_degree_instances(), st.randoms(use_true_random=False))
+def test_shared_forget_layers_match_per_record_forget(inst, order_rng):
+    # The same records in the same order, with the same witnesses, at every
+    # node: this is what keeps certificates byte-identical.
+    for td in three_decompositions(inst, order_rng):
+        nice = make_nice(td)
+        got = compute_tables(inst, nice, free_children=False)
+        with mock.patch.object(twdp, "_forget", forget_per_record):
+            want = compute_tables(inst, nice, free_children=False)
+        assert [list(t.records.items()) for t in got] == [list(t.records.items()) for t in want]
+
+
+FIVE_BY_FIVE_PAIRS = ((1, 25), (5, 21), (3, 23))
+
+
+@pytest.mark.parametrize(
+    "w, pairs, layout",
+    [(5, FIVE_BY_FIVE_PAIRS, "min-fill"), (5, FIVE_BY_FIVE_PAIRS, "path"), (6, ((1, 36), (6, 31)), "path")],
+    ids=["5x5-min-fill", "5x5-path", "6x6-path"],
+)
+def test_forget_offers_each_state_an_edge_once(monkeypatch, w, pairs, layout):
+    # Every edge is offered at exactly one forget node, and a forget node's
+    # layers are shared by its child records, so no endpoint state meets
+    # the same edge twice in one run.  (Min-fill's tree for the 6x6 grid
+    # takes over a minute, so only its path layout is run.)
+    inst = EdpInstance(grid_graph(w, w), tuple(TerminalPair(s, t) for s, t in pairs))
+    work = normalize_instance(inst)
+    if layout == "min-fill":
+        td = _tree_from_bags(*_min_fill_elimination(work.g))
+    else:
+        td = _path_layout(work.g, work.g.n)
+    real = twdp._edge_moves
+    offers = Counter()
+
+    def counting(ends, e, *rest):
+        offers[ends, e] += 1
+        return real(ends, e, *rest)
+
+    monkeypatch.setattr(twdp, "_edge_moves", counting)
+    nice = make_nice(td)
+    tables = compute_tables(work, nice)
+    assert EMPTY_RECORD in tables[nice.root].records
+    repeated = [key for key, count in offers.items() if count > 1]
+    assert offers
+    assert not repeated, f"{len(repeated)} of {len(offers)} (state, edge) offers repeat"
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
