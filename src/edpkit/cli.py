@@ -23,7 +23,7 @@ import time
 import traceback
 from pathlib import Path
 
-from edpkit.fracture import NoModulator, find_fracture_modulator, solve_fracture
+from edpkit.fracture import NoModulator, _least_modulator, solve_fracture
 from edpkit.graph import Multigraph, find_fvs_one
 from edpkit.instance import (
     EdpInstance,
@@ -46,7 +46,7 @@ from edpkit.reductions import (
     sidon_sequence,
 )
 from edpkit.sedp import NotFvsOne, solve_sedp
-from edpkit.treedec import EXACT_LIMIT, WidthExceeded, build_tree_decomposition
+from edpkit.treedec import WidthExceeded, build_tree_decomposition
 from edpkit.twdp import solve_twdp
 
 EXIT_YES = 0
@@ -150,7 +150,10 @@ def _solve_one(path: Path, args: argparse.Namespace) -> tuple[int, str]:
 def _solve_edp(inst: EdpInstance, engine: str, args: argparse.Namespace) -> tuple[str, SolveResult, str]:
     """The engine that answered, its result, and a reason that replaces the
     one its status implies.  An engine's refusal (NotFvsOne, WidthExceeded)
-    comes back as status "unknown" with its message as the reason."""
+    comes back as status "unknown" with its message as the reason.  Under
+    auto, twdp runs with the auto cap (--width-limit, default 8) as
+    solve_twdp's width target, and its refusal sends the instance to brute
+    force instead."""
     x: int | None = None
     if engine == "auto":
         probe = find_fvs_one(inst.g)
@@ -174,25 +177,16 @@ def _solve_edp(inst: EdpInstance, engine: str, args: argparse.Namespace) -> tupl
     if engine == "fracture":
         return "fracture", solve_fracture(inst, kmax=args.kmax), ""
     if engine == "twdp":
-        if args.engine == "auto":
-            # Fall back to brute force rather than running the DP on a
-            # decomposition too wide to finish in reasonable time.  The
-            # DP runs on the normalized graph, so the decomposition must
-            # cover the terminal leaves that normalization adds.  Min-fill
-            # stops at the first bag over the cap.  The exact search on
-            # small graphs would raise over it instead, so it gets no cap
-            # and the probe always returns a decomposition.
-            cap = args.width_limit if args.width_limit is not None else 8
-            g = normalize_instance(inst).g
-            td = build_tree_decomposition(g, cap if g.n > EXACT_LIMIT else None)
-            if td.width > cap:
-                b = brute_force_edp(inst, budget=args.budget)
-                return "brute", b, f"decomposition width over auto cap {cap}"
-            return "twdp", solve_twdp(inst, decomposition=td), ""
+        cap = args.width_limit
+        if cap is None and args.engine == "auto":
+            cap = 8
         try:
-            return "twdp", solve_twdp(inst, k=args.width_limit), ""
+            return "twdp", solve_twdp(inst, k=cap), ""
         except WidthExceeded as exc:
-            return "twdp", SolveResult("unknown"), str(exc)
+            if args.engine != "auto":
+                return "twdp", SolveResult("unknown"), str(exc)
+        b = brute_force_edp(inst, budget=args.budget)
+        return "brute", b, f"decomposition width over auto cap {cap}"
     if engine == "brute":
         return "brute", brute_force_edp(inst, budget=args.budget), ""
     raise ValueError(f"unknown engine {engine}")
@@ -255,14 +249,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             print(f"fvs-one {probe.vertex}")
         else:
             print("fvs-one none")
-        # A modulator of size <= k pads to one of size exactly k, so the
-        # least k the branching search accepts is the fracture number.
-        aug = augmented_graph(normalize_instance(inst))
-        frac = next(
-            (k for k in range(args.kmax + 1) if find_fracture_modulator(aug, k) is not None),
-            None,
-        )
-        print(f"fracture-number {frac if frac is not None else f'> {args.kmax}'}")
+        least = _least_modulator(augmented_graph(normalize_instance(inst)), args.kmax)
+        print(f"fracture-number {least[0] if least is not None else f'> {args.kmax}'}")
     und = g if not g.directed else Multigraph(g.n, g.edges, directed=False)
     td = build_tree_decomposition(und)
     print(f"decomposition-width {td.width}")
@@ -409,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     gmedp.add_argument("n2", type=int)
     gmedp.add_argument("n3", type=int)
     gmedp.add_argument("file", help="muedp base file naming the three terminal pairs")
-    gmedp.set_defaults()
     gen.set_defaults(func=_cmd_gen)
 
     return parser

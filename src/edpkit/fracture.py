@@ -605,6 +605,18 @@ def _terminal_free_for(inst: EdpInstance, x0: FractureModulator) -> FractureModu
         return None
 
 
+def _least_modulator(aug: Multigraph, bound: int) -> tuple[int, FractureModulator] | None:
+    """The least k <= bound for which the exact search finds a modulator
+    of aug, with that modulator; None when there is no such k.  A modulator
+    of size <= k pads to one of size exactly k, so k is aug's fracture
+    number."""
+    for k in range(bound + 1):
+        x = find_fracture_modulator(aug, k, "exact")
+        if x is not None:
+            return k, x
+    return None
+
+
 def solve_fracture(inst: EdpInstance, kmax: int) -> SolveResult:
     """Decide the instance via the fracture pipeline; on yes return a
     verified PathSet.  The modulator is the smallest one the exact search
@@ -613,30 +625,21 @@ def solve_fracture(inst: EdpInstance, kmax: int) -> SolveResult:
     work = normalize_instance(inst)
     aug = augmented_graph(work)
 
-    x0 = None
-    for k in range(0, kmax + 1):
-        x0 = find_fracture_modulator(aug, k, "exact")
-        if x0 is not None:
-            break
-    if x0 is None:
+    least = _least_modulator(aug, kmax)
+    if least is None:
         return SolveResult("modulator-exceeded")
 
     base = work
     rescue_map: tuple[int, ...] | None = None
-    x = _terminal_free_for(base, x0)
+    x = _terminal_free_for(base, least[1])
     if x is None:
         # Too few non-terminal vertices for any terminal-free modulator;
         # give every terminal a dedicated buffer neighbor and redo the
         # modulator search on the (equivalent) buffered instance.
         base, rescue_map = buffer_terminals(work)
-        baug = augmented_graph(base)
-        x0b = None
-        for k in range(0, 2 * kmax + 2):
-            x0b = find_fracture_modulator(baug, k, "exact")
-            if x0b is not None:
-                break
-        assert x0b is not None, "buffered instance lost its modulator"
-        x = _terminal_free_for(base, x0b)
+        least = _least_modulator(augmented_graph(base), 2 * kmax + 1)
+        assert least is not None, "buffered instance lost its modulator"
+        x = _terminal_free_for(base, least[1])
         assert x is not None, "buffered instance still lacks a terminal-free modulator"
 
     prep, x, edge_map = prepare_fracture(base, x)

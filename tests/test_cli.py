@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
-from edpkit import cli, fracture, graph, oracle, reductions, sedp
+from edpkit import cli, fracture, graph, instance, oracle, reductions, sedp, twdp
 from edpkit.cli import (
     EXIT_INTERNAL,
     EXIT_NO,
@@ -104,6 +104,64 @@ def test_auto_width_cap_on_small_graphs_falls_back_to_brute(tmp_path, capsys):
     inst = write(tmp_path, "tri2.edp", two_triangles)
     assert main(["solve", "--kmax", "0", "--width-limit", "1", str(inst)]) == EXIT_YES
     assert "s yes [brute]" in capsys.readouterr().out
+
+
+def test_auto_twdp_normalizes_twice(tmp_path, monkeypatch, capsys):
+    # solve_fracture and solve_twdp each normalize the raw instance; auto's
+    # width decision is solve_twdp's own, so nothing normalizes a third time.
+    fresh = []
+
+    def counting(inst):
+        out = instance.normalize_instance(inst)
+        if out is not inst:
+            fresh.append(out)
+        return out
+
+    for module in (cli, fracture, sedp, twdp):
+        monkeypatch.setattr(module, "normalize_instance", counting)
+    inst = write(tmp_path, "grid.edp", grid_text([], [(1, 16), (4, 13)]))
+    assert main(["solve", str(inst)]) == EXIT_YES
+    assert "[twdp]" in capsys.readouterr().out
+    assert len(fresh) == 2
+
+
+@st.composite
+def small_grids(draw):
+    """A 3x3 to 4x5 grid with one or two pairs on any of its vertices."""
+    w, h = draw(st.integers(3, 4)), draw(st.integers(3, 5))
+    vertex = st.integers(1, w * h)
+    pair = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+    return grid_text([], draw(st.lists(pair, min_size=1, max_size=2)), w=w, h=h)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(text=small_grids(), cap=st.integers(1, 5))
+def test_auto_cap_is_the_twdp_width_limit(tmp_path_factory, text, cap):
+    # These grids have no single feedback vertex and --kmax 0 refutes every
+    # modulator, so auto reaches twdp.  Its cap and --engine twdp's
+    # --width-limit are one decision: the exact width up to 12 normalized
+    # vertices (a 3x3 grid with one pair), min-fill's beyond.  Brute force
+    # gets no budget, so a fallback keeps its reason in the summary.
+    work = tmp_path_factory.mktemp("grid")
+    inst = write(work, "g.edp", text)
+    runs = {}
+    for engine in ("auto", "twdp"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([
+                "solve", "--engine", engine, "--kmax", "0", "--width-limit", str(cap), "--budget", "0",
+                "--solution", str(work / f"{engine}.sol"), str(inst),
+            ])
+        runs[engine] = code, out.getvalue()
+    (auto_code, auto_out), (twdp_code, twdp_out) = runs["auto"], runs["twdp"]
+    refused = twdp_code == EXIT_UNKNOWN and f"exceeds target {cap}" in twdp_out
+    fell_back = "[brute]" in auto_out and f"over auto cap {cap}" in auto_out
+    assert fell_back == refused, (text, auto_out, twdp_out)
+    if not refused:
+        assert "[twdp]" in auto_out and "[twdp]" in twdp_out, (auto_out, twdp_out)
+        assert auto_code == twdp_code, text
+        if auto_code == EXIT_YES:
+            assert (work / "auto.sol").read_bytes() == (work / "twdp.sol").read_bytes(), text
 
 
 def test_auto_probes_feedback_vertex_once(tmp_path, monkeypatch):
