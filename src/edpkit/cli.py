@@ -23,7 +23,7 @@ import time
 import traceback
 from pathlib import Path
 
-from edpkit.fracture import NoModulator, _least_modulator, solve_fracture
+from edpkit.fracture import _least_modulator, solve_fracture
 from edpkit.graph import Multigraph, find_fvs_one
 from edpkit.instance import (
     EdpInstance,
@@ -241,6 +241,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"m {g.m}")
     print(f"demands {demands}")
     print(f"max-degree {g.max_degree()}")
+    und = g if not g.directed else Multigraph(g.n, g.edges, directed=False)
     if isinstance(inst, EdpInstance):
         probe = find_fvs_one(g)
         if probe.already_forest:
@@ -249,9 +250,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             print(f"fvs-one {probe.vertex}")
         else:
             print("fvs-one none")
-        least = _least_modulator(augmented_graph(normalize_instance(inst)), args.kmax)
+        work = normalize_instance(inst)
+        least = _least_modulator(augmented_graph(work), args.kmax)
         print(f"fracture-number {least[0] if least is not None else f'> {args.kmax}'}")
-    und = g if not g.directed else Multigraph(g.n, g.edges, directed=False)
+        und = work.g  # the graph whose width --width-limit and auto's cap judge
     td = build_tree_decomposition(und)
     print(f"decomposition-width {td.width}")
     return EXIT_YES
@@ -305,6 +307,7 @@ def parse_mcc(text: str) -> MccInstance:
     n = m = k = 0
     part_of: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
+    edge_lines: list[int] = []
     seen_header = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -318,6 +321,8 @@ def parse_mcc(text: str) -> MccInstance:
                 n, m, k = int(fields[2]), int(fields[3]), int(fields[4])
             except ValueError:
                 raise ParseError(line_no, f"malformed header: {line!r}") from None
+            if n < 1:
+                raise ParseError(line_no, "an mcc instance needs at least one vertex")
             seen_header = True
         elif fields[0] == "v":
             if not seen_header or len(fields) != 3:
@@ -330,9 +335,13 @@ def parse_mcc(text: str) -> MccInstance:
             if not seen_header or len(fields) != 3:
                 raise ParseError(line_no, f"malformed edge line: {line!r}")
             try:
-                edges.append((int(fields[1]), int(fields[2])))
+                u, v = int(fields[1]), int(fields[2])
             except ValueError:
                 raise ParseError(line_no, f"malformed edge line: {line!r}") from None
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError(line_no, f"vertex id out of range: ({u}, {v})")
+            edges.append((u, v))
+            edge_lines.append(line_no)
         else:
             raise ParseError(line_no, f"unknown line tag {fields[0]!r}")
     if not seen_header:
@@ -345,7 +354,19 @@ def parse_mcc(text: str) -> MccInstance:
         if part is None or not (1 <= part <= k):
             raise ParseError(1, f"vertex {v} has no valid part")
         parts[part - 1].append(v)
+    for (u, v), line_no in zip(edges, edge_lines):
+        if part_of[u] == part_of[v]:
+            raise ParseError(line_no, f"edge ({u}, {v}) inside part {part_of[u]}")
     return MccInstance(n, tuple(tuple(p) for p in parts), tuple(edges))
+
+
+def _count(minimum: int):
+    """An argparse type: an integer of at least `minimum`."""
+    def count(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"{text} is below the minimum {minimum}")
+        return int(text)
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,13 +410,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="hard-instance generators")
     gensub = gen.add_subparsers(dest="generator", required=True)
     gsidon = gensub.add_parser("sidon", help="Sidon sequence of length n")
-    gsidon.add_argument("n", type=int)
+    gsidon.add_argument("n", type=_count(1))
     gmcc = gensub.add_parser("mcc-pipeline", help="multicolored-clique hardness pipeline")
     gmcc.add_argument("file", help="mcc input file")
     gmedp = gensub.add_parser("medp", help="three-demand bounded-pairs-per-component instance")
-    gmedp.add_argument("n1", type=int)
-    gmedp.add_argument("n2", type=int)
-    gmedp.add_argument("n3", type=int)
+    gmedp.add_argument("n1", type=_count(0))
+    gmedp.add_argument("n2", type=_count(0))
+    gmedp.add_argument("n3", type=_count(0))
     gmedp.add_argument("file", help="muedp base file naming the three terminal pairs")
     gen.set_defaults(func=_cmd_gen)
 
@@ -416,9 +437,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except NoModulator as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN
     except Exception:
         # A crash must not exit with 1, which reads as "no".
         traceback.print_exc()

@@ -21,13 +21,10 @@ from edpkit.graph import Multigraph, components_excluding
 from edpkit.ilp import IntegerProgram, solve_feasibility
 from edpkit.instance import (
     EdpInstance,
-    PathSet,
     SolveResult,
     augmented_graph,
     certify,
-    map_paths,
     normalize_instance,
-    shortcut_walk,
     subdivide_edges,
 )
 from edpkit.oracle import fracture_modulator_valid
@@ -185,10 +182,8 @@ def find_fracture_modulator(
         return None
     try:
         return FractureModulator(frozenset(_pad_to_valid(g, found, forbidden)))
-    except NoModulator:
-        if forbidden:
-            return None  # avoiding modulator provably needs forbidden vertices
-        raise
+    except NoModulator:  # only forbidden vertices stop padding: all vertices form a modulator
+        return None
 
 
 def terminal_free_modulator(inst: EdpInstance, x0: FractureModulator) -> FractureModulator:
@@ -697,6 +692,4 @@ def solve_fracture(inst: EdpInstance, kmax: int) -> SolveResult:
     # Mapping through the composed map equals mapping twice: a repeat that
     # the first map would collapse is still a repeat under the second.
     origin = edge_map if rescue_map is None else tuple(rescue_map[e] for e in edge_map)
-    mapped = map_paths((walks[j] for j in range(len(work.pairs))), origin)
-    sol = PathSet(tuple(shortcut_walk(work.g, w, p.s) for w, p in zip(mapped, work.pairs)))
-    return SolveResult("yes", certify("fracture", inst, work, sol))
+    return SolveResult("yes", certify("fracture", inst, [walks[j] for j in range(len(work.pairs))], origin))

@@ -266,11 +266,10 @@ def normalize_instance(inst: EdpInstance) -> EdpInstance:
 
 
 def denormalize_paths(original: EdpInstance, sol: PathSet) -> PathSet:
-    """Map a verified solution of normalize_instance(original) back onto
-    original.
+    """Map walks of normalize_instance(original) back onto original.
 
     Normalization keeps the original edges and appends at most one leaf edge
-    per terminal occurrence; those leaf edges sit at path ends and are
+    per terminal occurrence; those leaf edges sit at walk ends and are
     dropped.
     """
     m = original.g.m
@@ -371,43 +370,42 @@ def verify_solution(inst: EdpInstance, sol: PathSet) -> Verdict:
     return Verdict(True)
 
 
-def certify(engine: str, inst: EdpInstance, work: EdpInstance, sol: PathSet) -> PathSet:
-    """Check a solver's path set and return it as a solution of inst.
-
-    sol solves work, which is inst itself or normalize_instance(inst).  It
-    is verified on work and, when work is a rewrite, mapped back with
-    denormalize_paths and verified again on inst.  A failure raises
-    CertificateError rather than failing an assert, so `python -O` keeps
-    the check.
-    """
-    verdict = verify_solution(work, sol)
-    if verdict.ok and work is not inst:
-        sol = denormalize_paths(inst, sol)
-        verdict = verify_solution(inst, sol)
+def certify(
+    engine: str, inst: EdpInstance, walks: Iterable[Sequence[int]], origin: Sequence[int | None] | None = None
+) -> PathSet:
+    """Turn an engine's walks into a verified solution of inst; every
+    plain-EDP "yes" is built here.  walks holds one edge-simple walk per
+    pair, in pair order, from the pair's s on the engine's graph: inst,
+    normalize_instance(inst), or a rewrite of the latter whose edge e comes
+    from its edge origin[e] (None for an added edge).  The walks are mapped
+    through origin and denormalize_paths, shortcut and verified once, on
+    inst.  A failure raises CertificateError, which `python -O` keeps."""
+    if origin is not None:
+        walks = map_paths(walks, origin)
+    if not inst.normalized:
+        walks = denormalize_paths(inst, PathSet(tuple(walks))).paths
+    sol = PathSet(tuple(shortcut_walk(inst.g, w, p.s) for w, p in zip(walks, inst.pairs)))
+    verdict = verify_solution(inst, sol)
     if not verdict.ok:
         raise CertificateError(f"{engine} produced an invalid certificate: {verdict.reason}")
     return sol
 
 
-def shortcut_walk(g: Multigraph, path: tuple[int, ...], start: int) -> tuple[int, ...]:
+def shortcut_walk(g: Multigraph, path: Sequence[int], start: int) -> tuple[int, ...]:
     """Shortcut an edge-simple walk to a vertex-simple path with the same
-    endpoints, using a subset of its edges."""
-    verts = [start]
+    endpoints, using a subset of its edges, in one pass: each loop is cut
+    as the walk closes it."""
+    edges: list[int] = []
+    position = {start: 0}  # path vertex -> edges before it, in path order
     cur = start
     for e in path:
         cur = g.other_end(e, cur)
-        verts.append(cur)
-    edges = list(path)
-    changed = True
-    while changed:
-        changed = False
-        seen: dict[int, int] = {}
-        for i, v in enumerate(verts):
-            if v in seen:
-                j = seen[v]
-                del verts[j + 1 : i + 1]
-                del edges[j:i]
-                changed = True
-                break
-            seen[v] = i
+        i = position.get(cur)
+        if i is None:
+            edges.append(e)
+            position[cur] = len(edges)
+        else:  # back at the loop's first vertex: the loop's vertices were inserted last
+            del edges[i:]
+            while len(position) > i + 1:
+                position.popitem()
     return tuple(edges)

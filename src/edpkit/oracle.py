@@ -300,7 +300,7 @@ def brute_force_edp(inst: EdpInstance, budget: int = DEFAULT_BUDGET) -> SolveRes
         return SolveResult("budget")
     if paths is None:
         return SolveResult("no")
-    return SolveResult("yes", certify("brute", inst, inst, PathSet(tuple(paths))))
+    return SolveResult("yes", certify("brute", inst, paths))
 
 
 def brute_force_multi(inst: MultiDemandInstance, budget: int = DEFAULT_BUDGET) -> SolveResult:

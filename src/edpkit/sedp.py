@@ -25,13 +25,10 @@ from typing import NamedTuple
 from edpkit.graph import Multigraph, find_fvs_one, matching_max_cover
 from edpkit.instance import (
     EdpInstance,
-    PathSet,
     SolveResult,
     TerminalPair,
     certify,
-    map_paths,
     normalize_instance,
-    shortcut_walk,
     subdivide_edges,
 )
 
@@ -497,7 +494,7 @@ def solve_sedp(inst: EdpInstance, x: int | None = None) -> SolveResult:
         else:
             raise NotFvsOne("no single feedback vertex exists")
     if x is None:  # empty graph
-        return SolveResult("yes", PathSet(()))
+        return SolveResult("yes", certify("sedp", inst, ()))
 
     prep = prepare_sedp(work, x)
     tree_labels: dict[int, LabelSet] = {}
@@ -515,15 +512,12 @@ def solve_sedp(inst: EdpInstance, x: int | None = None) -> SolveResult:
                     assert end not in by_terminal, "terminal served by two paths"
                     by_terminal[end] = path
 
-    g = prep.inst.g
-    prepared_paths: list[tuple[int, ...]] = []
+    walks: list[tuple[int, ...]] = []
     for p in prep.inst.pairs:
         ps = by_terminal[p.s]
         walk = ps.edges if ps.a == p.s else ps.edges[::-1]
         if p.t not in (ps.a, ps.b):
             pt = by_terminal[p.t]
             walk += pt.edges[::-1] if pt.a == p.t else pt.edges
-        prepared_paths.append(shortcut_walk(g, walk, p.s))
-
-    sol = PathSet(map_paths(prepared_paths, prep.edge_origin))
-    return SolveResult("yes", certify("sedp", inst, work, sol))
+        walks.append(walk)
+    return SolveResult("yes", certify("sedp", inst, walks, prep.edge_origin))

@@ -12,12 +12,12 @@ families in the processed subgraph interact with the current bag:
 Walk semantics.  The node steps run on endpoint states: the sorted tuple
 of (a, b) end pairs, a <= b, of a family of edge-disjoint walks in the
 subgraph below the node, bag-internal edges excluded.  No vertex sets are
-kept, so a walk may revisit a vertex but never an edge.  verify_solution
-accepts such edge-simple walks, and shortcut_walk turns the root's walks
-into paths.  A record is a function of the ends alone (_record), so a
-stored record is realized by its witness, and a record that some walk family
-realizes is stored unless a stored record dominates it (below).  The degree
-bound caps multiplicities: a bag vertex of degree d meets at most d walks.
+kept, so a walk may revisit a vertex but never an edge; certify turns the
+root's walks into paths.  A record is a function of the ends alone
+(_record), so a stored record is realized by its witness, and a record that
+some walk family realizes is stored unless a stored record dominates it
+(below).  The degree bound caps multiplicities: a bag vertex of degree d
+meets at most d walks.
 
   - Introduce adds the trivial (v, v) walk of a terminal v.
   - Forget offers v's edges to the bag one at a time, with one
@@ -67,11 +67,9 @@ from typing import Callable
 from edpkit.graph import Multigraph
 from edpkit.instance import (
     EdpInstance,
-    PathSet,
     SolveResult,
     certify,
     normalize_instance,
-    shortcut_walk,
 )
 from edpkit.treedec import (
     NiceTreeDecomposition,
@@ -660,7 +658,7 @@ def solve_twdp(
     work = normalize_instance(inst)
     g = work.g
     if g.n == 0:
-        return SolveResult("yes", PathSet(()))
+        return SolveResult("yes", certify("twdp", inst, ()))
     if decomposition is None:
         td = build_tree_decomposition(g, k)
         if k is not None and td.width > k:
@@ -676,10 +674,5 @@ def solve_twdp(
         return SolveResult("no")
     # At the root every pair is closed by one walk with ends (s, t).
     walk_of = dict(zip(*witness))
-    out_paths = []
-    for p in work.pairs:
-        a, b = (p.s, p.t) if p.s < p.t else (p.t, p.s)
-        walk = walk_of[(a, b)]
-        out_paths.append(shortcut_walk(g, walk if a == p.s else walk[::-1], p.s))
-    sol = PathSet(tuple(out_paths))
-    return SolveResult("yes", certify("twdp", inst, work, sol))
+    walks = [walk_of[(p.s, p.t)] if p.s < p.t else walk_of[(p.t, p.s)][::-1] for p in work.pairs]
+    return SolveResult("yes", certify("twdp", inst, walks))

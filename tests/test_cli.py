@@ -491,3 +491,52 @@ def test_mutated_files_exit_usage_exactly_on_parse_errors(tmp_path_factory, inst
         assert verified in (EXIT_YES, EXIT_NO), (inst_text, sol_text)
     else:
         assert verified == EXIT_USAGE, (inst_text, sol_text)
+
+
+MUEDP_BASE = "p muedp 2 1 3\ne 1 2\nt 1 2 0\nt 1 2 0\nt 2 1 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["gen", "sidon", "0"], None),
+        (["gen", "medp", "-1", "1", "1"], MUEDP_BASE),
+        (["gen", "mcc-pipeline"], "p mcc 3 2 2\nv 1 1\nv 2 1\nv 3 2\ne 1 3\ne 1 2\n"),
+        (["gen", "mcc-pipeline"], "p mcc 3 1 3\nv 1 1\nv 2 2\nv 3 3\ne 1 4\n"),
+        (["gen", "mcc-pipeline"], "p mcc 0 0 0\n"),
+    ],
+    ids=["sidon-zero", "medp-negative", "mcc-edge-in-part", "mcc-edge-out-of-range", "mcc-no-vertex"],
+)
+def test_bad_gen_arguments_exit_usage(tmp_path, capsys, argv, text):
+    if text is not None:
+        argv = argv + [str(write(tmp_path, "input.txt", text))]
+    assert main(argv) == EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# Normalization moves both terminals of each pair to new leaves (16
+# vertices, over treedec.EXACT_LIMIT), where min-fill's width is 5; the raw
+# graph's exact treewidth is 4.
+STATS_WIDTH = (
+    "p edp 12 18 2\n"
+    + "".join(
+        f"e {u} {v}\n"
+        for u, v in [
+            (1, 2), (1, 3), (1, 7), (1, 11), (2, 8), (3, 5), (3, 6), (3, 9), (5, 8),
+            (5, 11), (6, 7), (6, 8), (6, 9), (6, 11), (7, 9), (8, 9), (9, 10), (10, 11),
+        ]
+    )
+    + "t 6 3\nt 10 5\n"
+)
+
+
+def test_stats_width_is_the_width_twdp_compares(tmp_path, capsys):
+    inst = write(tmp_path, "w.edp", STATS_WIDTH)
+    assert main(["stats", str(inst)]) == EXIT_YES
+    (line,) = [x for x in capsys.readouterr().out.splitlines() if x.startswith("decomposition-width ")]
+    width = int(line.split()[1])
+    assert width == 5
+    sol = str(tmp_path / "w.sol")
+    assert main(["solve", "--engine", "twdp", "--width-limit", str(width), "--solution", sol, str(inst)]) == EXIT_YES
+    assert main(["solve", "--engine", "twdp", "--width-limit", str(width - 1), str(inst)]) == EXIT_UNKNOWN
+    assert f"exceeds target {width - 1}" in capsys.readouterr().out

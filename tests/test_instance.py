@@ -5,8 +5,11 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import edpkit
+from edpkit import instance
+from edpkit.fracture import solve_fracture
 from edpkit.graph import Multigraph
 from edpkit.instance import (
     EdpInstance,
@@ -22,11 +25,15 @@ from edpkit.instance import (
     shortcut_walk,
     subdivide_edges,
     verify_solution,
+    walk_endpoints,
     write_instance,
 )
 from edpkit.oracle import brute_force_edp
+from edpkit.sedp import solve_sedp
+from edpkit.twdp import solve_twdp
 
-from conftest import random_normalized_instance, random_multigraph
+from conftest import multigraphs, random_normalized_instance, random_multigraph
+from shortcut_oracle import shortcut_by_restarts
 
 
 def test_parse_basic():
@@ -231,3 +238,63 @@ def test_each_bad_edge_is_reported_with_its_line():
         parse_instance("p edp 3 2 0\ne 1 2\ne 2 4\n")
     with pytest.raises(ParseError, match=r"line 4: self-loop rejected: \(3, 3\)"):
         parse_instance("p edp 3 3 0\ne 1 2\nc comment\ne 3 3\ne 2 3\n")
+
+
+@st.composite
+def edge_simple_walks(draw):
+    """A small multigraph, a start vertex and an edge-simple walk from it."""
+    g = draw(multigraphs())
+    if g.n == 0:
+        g = Multigraph(1, [])
+    start = draw(st.integers(1, g.n))
+    walk: list[int] = []
+    used: set[int] = set()
+    cur = start
+    for _ in range(draw(st.integers(0, g.m))):
+        free = [e for e in g.incident(cur) if e not in used]
+        if not free:
+            break
+        e = draw(st.sampled_from(free))
+        used.add(e)
+        walk.append(e)
+        cur = g.other_end(e, cur)
+    return g, tuple(walk), start
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(edge_simple_walks())
+def test_shortcut_walk_matches_restarts(case):
+    g, walk, start = case
+    short = shortcut_walk(g, walk, start)
+    assert short == shortcut_by_restarts(g, walk, start)
+    assert walk_endpoints(g, short, start) == walk_endpoints(g, walk, start)
+    verts = [start]
+    for e in short:
+        verts.append(g.other_end(e, verts[-1]))
+    assert len(set(verts)) == len(verts)
+
+
+def test_certify_verifies_once_per_yes(monkeypatch):
+    # Terminals of degree 2: sedp, twdp and fracture solve the normalized
+    # instance, and certify still verifies once, on the caller's instance.
+    inst = EdpInstance(Multigraph(6, [(v, v % 6 + 1) for v in range(1, 7)]), (TerminalPair(1, 4),))
+    assert not inst.normalized
+    checked = []
+
+    def counting(target, sol):
+        checked.append(target)
+        return verify_solution(target, sol)
+
+    monkeypatch.setattr(instance, "verify_solution", counting)
+    solvers = {
+        "sedp": lambda: solve_sedp(inst),
+        "twdp": lambda: solve_twdp(inst),
+        "fracture": lambda: solve_fracture(inst, kmax=4),
+        "brute": lambda: brute_force_edp(inst),
+    }
+    for name, solve in solvers.items():
+        checked.clear()
+        result = solve()
+        assert result.is_yes, name
+        assert len(checked) == 1 and checked[0] is inst, name
+        assert verify_solution(inst, result.paths).ok, name
