@@ -315,6 +315,8 @@ def parse_mcc(text: str) -> MccInstance:
             continue
         fields = line.split()
         if fields[0] == "p":
+            if seen_header:
+                raise ParseError(line_no, "duplicate header")
             if len(fields) != 5 or fields[1] != "mcc":
                 raise ParseError(line_no, f"malformed header: {line!r}")
             try:
@@ -328,9 +330,12 @@ def parse_mcc(text: str) -> MccInstance:
             if not seen_header or len(fields) != 3:
                 raise ParseError(line_no, f"malformed part line: {line!r}")
             try:
-                part_of[int(fields[1])] = int(fields[2])
+                v, part = int(fields[1]), int(fields[2])
             except ValueError:
                 raise ParseError(line_no, f"malformed part line: {line!r}") from None
+            if not 1 <= v <= n:
+                raise ParseError(line_no, f"vertex id out of range: {v}")
+            part_of[v] = part
         elif fields[0] == "e":
             if not seen_header or len(fields) != 3:
                 raise ParseError(line_no, f"malformed edge line: {line!r}")

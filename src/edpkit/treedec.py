@@ -1,29 +1,23 @@
-"""Tree decompositions: exact construction for small graphs, min-fill
-heuristic or a path layout of the same width beyond, and conversion to
-nice decompositions.
+"""Tree decompositions: min-fill elimination, or a path layout of the same
+width, and conversion to nice decompositions.
 
-The exact search runs a subset dynamic program over elimination orders
-(feasible up to a dozen vertices) and refuses a target width below the
-treewidth with WidthExceeded.  The heuristic may overshoot the optimum;
-given a target it stops at the first bag over it and returns a valid
-decomposition whose last bag holds every vertex not yet eliminated, so
-its width is over the target exactly when the full min-fill width is.
-Within the target, a greedy vertex-separation layout replaces min-fill's
-tree when it reaches the same width W and W is over PATH_MIN_WIDTH: a
-path has no joins but the ones its pendant vertices hang on, and joins
-are what the twdp dynamic program spends its time on.  The width is
-always min-fill's.
+Min-fill may overshoot the treewidth; given a target it stops at the first
+bag over it and returns a valid decomposition whose last bag holds every
+vertex not yet eliminated, so its width is over the target exactly when
+the full min-fill width is.  Within the target, a greedy vertex-separation
+layout replaces min-fill's tree when it reaches the same width W and W is
+over PATH_MIN_WIDTH: a path has no joins but the ones its pendant vertices
+hang on, and joins are what the twdp dynamic program spends its time on.
+The width is always min-fill's.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
 
 from edpkit.graph import Multigraph
 
-EXACT_LIMIT = 12
 # Widths at which min-fill's tree is kept even when a path layout matches
 # it: the DP ran as fast or faster on min-fill's tree for width-3 inputs.
 PATH_MIN_WIDTH = 3
@@ -79,113 +73,29 @@ class TreeDecomposition:
 
 
 class WidthExceeded(Exception):
-    """A decomposition of width at most the target was not found: raised by
-    build_tree_decomposition when the exact search proves tw(g) > k, and by
-    solve_twdp when the width of the heuristic decomposition is over k."""
+    """Raised by solve_twdp when the width of build_tree_decomposition's
+    decomposition is over the target k."""
 
 
 def build_tree_decomposition(g: Multigraph, k: int | None = None) -> TreeDecomposition:
-    """A valid tree decomposition of g.
-
-    For graphs with at most EXACT_LIMIT vertices the width is optimal and,
-    when a target k is given, WidthExceeded is raised iff tw(g) > k.  Larger
-    graphs use the min-fill heuristic, which never raises; its width may
-    exceed the optimum.  With a target k it stops at the first vertex with
-    more than k neighbours and puts it with every vertex left in one last
-    bag, so the width is over k exactly when the full min-fill width is,
-    and the decomposition is the full one when it is not.  When that
-    width W is within k and over PATH_MIN_WIDTH, and _path_layout reaches
-    width W too, the path layout is returned instead; the width is W
-    either way.
+    """A valid tree decomposition of g from the min-fill heuristic, whose
+    width may exceed the treewidth.  With a target k it stops at the first
+    vertex with more than k neighbours and puts it with every vertex left
+    in one last bag, so the width is over k exactly when the full min-fill
+    width is, and the decomposition is the full one when it is not.  When
+    that width W is within k and over PATH_MIN_WIDTH, and _path_layout
+    reaches width W too, the path layout is returned instead; the width is
+    W either way.
     """
     if g.directed:
         raise ValueError("tree decompositions are for undirected graphs")
     if g.n == 0:
         return TreeDecomposition([frozenset()], [-1])
-    if g.n <= EXACT_LIMIT:
-        order, width = _exact_elimination_order(g)
-        if k is not None and width > k:
-            raise WidthExceeded(f"treewidth {width} exceeds target {k}")
-        return _decomposition_from_order(g, order)
     td = _tree_from_bags(*_min_fill_elimination(g, k))
     if td.width <= PATH_MIN_WIDTH or (k is not None and td.width > k):
         return td
     path = _path_layout(g, td.width)
     return path if path is not None and path.width == td.width else td
-
-
-def _neighbor_masks(g: Multigraph) -> list[int]:
-    masks = [0] * (g.n + 1)
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
-
-def _exact_elimination_order(g: Multigraph) -> tuple[list[int], int]:
-    """Optimal elimination order via dynamic programming over subsets.
-
-    State: set S of already-eliminated vertices; eliminating v next costs
-    |reachable-through-S neighbors of v outside S|.  The treewidth is the
-    minimax cost over orders.
-    """
-    n = g.n
-    masks = _neighbor_masks(g)
-    full = (1 << (n + 1)) - 2  # bits 1..n
-
-    @lru_cache(maxsize=None)
-    def boundary(v: int, eliminated: int) -> int:
-        # Vertices outside `eliminated` reachable from v through eliminated.
-        seen = 1 << v
-        stack = [v]
-        out = 0
-        while stack:
-            a = stack.pop()
-            fresh = masks[a] & ~seen
-            seen |= fresh
-            rest = fresh
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                w = b.bit_length() - 1
-                if (1 << w) & eliminated:
-                    stack.append(w)
-                else:
-                    out |= b
-        return out
-
-    INF = n + 1
-    cost = {0: 0}
-    choice: dict[int, int] = {}
-    by_popcount: list[list[int]] = [[] for _ in range(n + 1)]
-    for s in range(1 << n):
-        mask = s << 1
-        by_popcount[bin(s).count("1")].append(mask)
-    for size in range(n):
-        for mask in by_popcount[size]:
-            if mask not in cost:
-                continue
-            base = cost[mask]
-            rest = full & ~mask
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                v = b.bit_length() - 1
-                deg = bin(boundary(v, mask)).count("1")
-                new_cost = max(base, deg)
-                nxt = mask | b
-                if new_cost < cost.get(nxt, INF):
-                    cost[nxt] = new_cost
-                    choice[nxt] = v
-    order_rev = []
-    mask = full
-    while mask:
-        v = choice[mask]
-        order_rev.append(v)
-        mask &= ~(1 << v)
-    order = list(reversed(order_rev))
-    boundary.cache_clear()
-    return order, cost[full]
 
 
 def _min_fill_order(g: Multigraph) -> list[int]:

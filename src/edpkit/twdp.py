@@ -646,10 +646,9 @@ def solve_twdp(
     """Decide the instance; on yes return a verified PathSet.
 
     k is a width target: WidthExceeded is raised, before any table is
-    computed, when the exact treewidth (small graphs) or the min-fill
-    width (larger ones) of the normalized graph is over k.  The DP runs on
-    build_tree_decomposition's choice: the exact decomposition, min-fill's
-    tree, or a path layout of the same width as min-fill's.  A pre-built
+    computed, when the min-fill width of the normalized graph is over k.
+    The DP runs on build_tree_decomposition's choice: min-fill's tree, or
+    a path layout of the same width.  A pre-built
     decomposition can be supplied to pin the decomposition choice (it is
     made nice internally, and k is not checked against it); it must cover
     the normalized graph, terminal leaves included, or ValueError is

@@ -139,9 +139,9 @@ def small_grids(draw):
 def test_auto_cap_is_the_twdp_width_limit(tmp_path_factory, text, cap):
     # These grids have no single feedback vertex and --kmax 0 refutes every
     # modulator, so auto reaches twdp.  Its cap and --engine twdp's
-    # --width-limit are one decision: the exact width up to 12 normalized
-    # vertices (a 3x3 grid with one pair), min-fill's beyond.  Brute force
-    # gets no budget, so a fallback keeps its reason in the summary.
+    # --width-limit are one decision on the min-fill width of the
+    # normalized graph.  Brute force gets no budget, so a fallback keeps its
+    # reason in the summary.
     work = tmp_path_factory.mktemp("grid")
     inst = write(work, "g.edp", text)
     runs = {}
@@ -504,8 +504,13 @@ MUEDP_BASE = "p muedp 2 1 3\ne 1 2\nt 1 2 0\nt 1 2 0\nt 2 1 0\n"
         (["gen", "mcc-pipeline"], "p mcc 3 2 2\nv 1 1\nv 2 1\nv 3 2\ne 1 3\ne 1 2\n"),
         (["gen", "mcc-pipeline"], "p mcc 3 1 3\nv 1 1\nv 2 2\nv 3 3\ne 1 4\n"),
         (["gen", "mcc-pipeline"], "p mcc 0 0 0\n"),
+        (["gen", "mcc-pipeline"], "p mcc 3 3 3\np mcc 2 1 2\nv 1 1\nv 2 2\ne 1 2\n"),
+        (["gen", "mcc-pipeline"], "p mcc 2 1 2\nv 1 1\nv 2 2\nv 7 1\ne 1 2\n"),
     ],
-    ids=["sidon-zero", "medp-negative", "mcc-edge-in-part", "mcc-edge-out-of-range", "mcc-no-vertex"],
+    ids=[
+        "sidon-zero", "medp-negative", "mcc-edge-in-part", "mcc-edge-out-of-range", "mcc-no-vertex",
+        "mcc-duplicate-header", "mcc-part-out-of-range",
+    ],
 )
 def test_bad_gen_arguments_exit_usage(tmp_path, capsys, argv, text):
     if text is not None:
@@ -515,8 +520,7 @@ def test_bad_gen_arguments_exit_usage(tmp_path, capsys, argv, text):
 
 
 # Normalization moves both terminals of each pair to new leaves (16
-# vertices, over treedec.EXACT_LIMIT), where min-fill's width is 5; the raw
-# graph's exact treewidth is 4.
+# vertices), where min-fill's width is 5; the raw graph's treewidth is 4.
 STATS_WIDTH = (
     "p edp 12 18 2\n"
     + "".join(
