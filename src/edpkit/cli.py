@@ -72,6 +72,8 @@ def parse_solution(text: str) -> tuple[str, PathSet]:
         if not line or line.startswith("c"):
             continue
         if line.startswith("s "):
+            if verdict:
+                raise ParseError(line_no, "duplicate verdict line")
             verdict = line.split()[1]
         elif line.startswith("path "):
             rest = line[len("path ") :]
@@ -390,15 +392,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="auto picks sedp when one feedback vertex suffices, then the fracture "
         "pipeline within --kmax, then the treewidth DP, then brute force",
     )
-    solve.add_argument("--kmax", type=int, default=4, help="fracture modulator size bound (default 4)")
+    solve.add_argument("--kmax", type=_count(0), default=4, help="fracture modulator size bound (default 4)")
     solve.add_argument(
         "--width-limit",
-        type=int,
+        type=_count(0),
         default=None,
         help="twdp refuses (exit 2) a decomposition wider than this; auto sends wider "
         "instances to brute force (default cap 8)",
     )
-    solve.add_argument("--budget", type=int, default=10**7, help="brute-force node budget (default 1e7)")
+    solve.add_argument("--budget", type=_count(0), default=10**7, help="brute-force node budget (default 1e7)")
     solve.add_argument("--solution", default=None, help="solution output path (default <file>.sol)")
     solve.set_defaults(func=_cmd_solve)
 
@@ -409,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="structural statistics of an instance")
     stats.add_argument("file")
-    stats.add_argument("--kmax", type=int, default=4, help="fracture modulator search bound (default 4)")
+    stats.add_argument("--kmax", type=_count(0), default=4, help="fracture modulator search bound (default 4)")
     stats.set_defaults(func=_cmd_stats)
 
     gen = sub.add_parser("gen", help="hard-instance generators")

@@ -11,8 +11,6 @@ import gc
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-import networkx as nx
-
 
 class Multigraph:
     """An immutable multigraph (undirected by default, optionally directed).
@@ -282,6 +280,8 @@ def max_weight_matching(g: Multigraph, weights: Sequence[int] | Callable[[int], 
     collection scans only what was allocated since the previous one, so the
     total cost stays linear.
     """
+    import networkx as nx  # here, so that a run that never matches does not load it
+
     if g.directed:
         raise ValueError("matching is defined for undirected graphs")
     wfun = weights if callable(weights) else weights.__getitem__

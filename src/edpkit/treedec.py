@@ -42,34 +42,44 @@ class TreeDecomposition:
         return out
 
     def validate(self, g: Multigraph) -> None:
+        """Raise ValueError unless this is a tree decomposition of g: one
+        rooted tree, bag vertices in 1..n, the bags of each vertex forming
+        a connected subtree, and each edge in some bag.  One pass over the
+        bags, reading each bag vertex's incidence list once per bag."""
         roots = [i for i, p in enumerate(self.parent) if p < 0]
         if len(roots) != 1:
             raise ValueError("decomposition tree must have exactly one root")
-        placed: dict[int, list[int]] = {}
-        for i, bag in enumerate(self.bags):
-            for v in bag:
-                placed.setdefault(v, []).append(i)
+        if len(self.parent) != len(self.bags) or max(self.parent) >= len(self.bags):
+            raise ValueError("decomposition parents do not index its bags")
+        children = self.children()
+        reached = list(roots)
+        for i in reached:
+            reached.extend(children[i])
+        if len(reached) < len(self.bags):
+            raise ValueError("decomposition has nodes that do not reach the root")
+        # A vertex's bags are connected exactly when one of them is the top
+        # of its subtree: the root, or a bag whose parent's bag lacks it.
+        tops = [0] * (g.n + 1)
+        covered = [False] * g.m
+        for bag, p in zip(self.bags, self.parent):
+            above = self.bags[p] if p >= 0 else frozenset()
+            for u in bag:
+                if not 1 <= u <= g.n:
+                    raise ValueError(f"decomposition vertex {u} is not in the graph")
+                if u not in above:
+                    tops[u] += 1
+                for e in g.incident(u):
+                    if g.other_end(e, u) in bag:
+                        covered[e] = True
         for v in range(1, g.n + 1):
-            nodes = placed.get(v)
-            if not nodes:
-                raise ValueError(f"vertex {v} appears in no bag")
-            # Connectivity of the occurrence set, checked by walking up.
-            node_set = set(nodes)
-            seen = {nodes[0]}
-            grew = True
-            while grew:
-                grew = False
-                for i in list(node_set - seen):
-                    if self.parent[i] in seen or any(
-                        self.parent[j] == i for j in seen
-                    ):
-                        seen.add(i)
-                        grew = True
-            if seen != node_set:
-                raise ValueError(f"occurrences of vertex {v} are not connected")
-        for u, v in g.edges:
-            if not any(u in bag and v in bag for bag in self.bags):
-                raise ValueError(f"edge ({u}, {v}) is in no bag")
+            if tops[v] != 1:
+                raise ValueError(
+                    f"vertex {v} appears in no bag" if not tops[v]
+                    else f"occurrences of vertex {v} are not connected"
+                )
+        if not all(covered):
+            u, v = g.edges[covered.index(False)]
+            raise ValueError(f"edge ({u}, {v}) is in no bag")
 
 
 class WidthExceeded(Exception):
@@ -369,10 +379,6 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
         return idx
 
     def start_leaf(bag: frozenset[int]) -> int:
-        if not bag:
-            # Degenerate: model an empty bag as introduce-free forget of a
-            # single throwaway? Not allowed; callers avoid empty leaves.
-            raise ValueError("cannot start a nice chain from an empty bag")
         verts = sorted(bag)
         idx = emit("leaf", frozenset({verts[0]}), ())
         cur = {verts[0]}

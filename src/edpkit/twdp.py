@@ -64,7 +64,6 @@ from math import inf
 from operator import itemgetter
 from typing import Callable
 
-from edpkit.graph import Multigraph
 from edpkit.instance import (
     EdpInstance,
     SolveResult,
@@ -617,27 +616,6 @@ def compute_tables(
     return tables
 
 
-def _check_covers(td: TreeDecomposition, g: Multigraph) -> None:
-    """Raise ValueError unless every vertex and every edge of g lies in some
-    bag of td.  Reads the incidence list of each bag vertex once per bag."""
-    covered = [False] * g.m
-    placed: set[int] = set()
-    for bag in td.bags:
-        for u in bag:
-            if not 1 <= u <= g.n:
-                raise ValueError(f"decomposition vertex {u} is not in the graph")
-            placed.add(u)
-            for e in g.incident(u):
-                if g.other_end(e, u) in bag:
-                    covered[e] = True
-    if len(placed) < g.n:
-        v = min(set(range(1, g.n + 1)) - placed)
-        raise ValueError(f"vertex {v} of the normalized graph is in no bag")
-    if not all(covered):
-        u, v = g.edges[covered.index(False)]
-        raise ValueError(f"edge ({u}, {v}) of the normalized graph is in no bag")
-
-
 def solve_twdp(
     inst: EdpInstance,
     k: int | None = None,
@@ -650,9 +628,9 @@ def solve_twdp(
     The DP runs on build_tree_decomposition's choice: min-fill's tree, or
     a path layout of the same width.  A pre-built
     decomposition can be supplied to pin the decomposition choice (it is
-    made nice internally, and k is not checked against it); it must cover
-    the normalized graph, terminal leaves included, or ValueError is
-    raised.
+    made nice internally, and k is not checked against it); it must be a
+    tree decomposition of the normalized graph, terminal leaves included,
+    or TreeDecomposition.validate raises ValueError.
     """
     work = normalize_instance(inst)
     g = work.g
@@ -664,7 +642,7 @@ def solve_twdp(
             raise WidthExceeded(f"decomposition width exceeds target {k}")
     else:
         td = decomposition
-        _check_covers(td, g)
+        td.validate(g)
     nice = make_nice(td)
     tables = compute_tables(work, nice)
 

@@ -1,6 +1,9 @@
 import contextlib
 import gc
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import networkx as nx
@@ -197,6 +200,35 @@ def test_verify_rejects_tampered(tmp_path, capsys):
     sol.write_text("s yes\npath 1: 1 2\n", encoding="ascii")
     assert main(["verify", str(inst), str(sol)]) == EXIT_NO
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "sol_text", ["s no\npath 1: 1 2 3\ns yes\n", "s yes\npath 1: 1 2 3\ns no\n"], ids=["no-then-yes", "yes-then-no"]
+)
+def test_verify_rejects_a_second_verdict_line(tmp_path, capsys, sol_text):
+    # The last verdict line used to win: the first file passed as "yes".
+    inst = write(tmp_path, "p4.edp", P4)
+    sol = write(tmp_path, "p4.sol", sol_text)
+    with pytest.raises(ParseError, match="duplicate verdict line"):
+        parse_solution(sol_text)
+    assert main(["verify", str(inst), str(sol)]) == EXIT_USAGE
+    capsys.readouterr()
+
+
+def test_forest_solve_does_not_import_networkx(tmp_path):
+    # networkx is imported by the first matching call, and a path needs none.
+    inst = write(tmp_path, "p4.edp", P4)
+    child = (
+        "import sys\n"
+        "from edpkit.cli import main\n"
+        f"code = main(['solve', {str(inst)!r}])\n"
+        "print(code, 'networkx' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == f"{EXIT_YES} False", run.stdout
 
 
 def test_solve_multi_instance_brute(tmp_path):
@@ -506,10 +538,15 @@ MUEDP_BASE = "p muedp 2 1 3\ne 1 2\nt 1 2 0\nt 1 2 0\nt 2 1 0\n"
         (["gen", "mcc-pipeline"], "p mcc 0 0 0\n"),
         (["gen", "mcc-pipeline"], "p mcc 3 3 3\np mcc 2 1 2\nv 1 1\nv 2 2\ne 1 2\n"),
         (["gen", "mcc-pipeline"], "p mcc 2 1 2\nv 1 1\nv 2 2\nv 7 1\ne 1 2\n"),
+        (["solve", "--kmax", "-1"], P4),
+        (["solve", "--width-limit", "-1"], P4),
+        (["solve", "--budget", "-1"], P4),
+        (["stats", "--kmax", "-2"], P4),
     ],
     ids=[
         "sidon-zero", "medp-negative", "mcc-edge-in-part", "mcc-edge-out-of-range", "mcc-no-vertex",
-        "mcc-duplicate-header", "mcc-part-out-of-range",
+        "mcc-duplicate-header", "mcc-part-out-of-range", "solve-kmax-negative", "solve-width-limit-negative",
+        "solve-budget-negative", "stats-kmax-negative",
     ],
 )
 def test_bad_gen_arguments_exit_usage(tmp_path, capsys, argv, text):

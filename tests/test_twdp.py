@@ -32,6 +32,7 @@ from edpkit.twdp import (
 from conftest import grid_graph, multigraphs, random_bounded_degree_instance, random_multigraph
 from forget_oracle import forget_per_record
 from minfill_oracle import min_fill_order
+from treedec_oracle import is_tree_decomposition
 
 
 def test_decomposition_examples():
@@ -276,6 +277,85 @@ def test_decomposition_must_cover_normalized_graph():
         solve_twdp(path, decomposition=loose)
     tight = TreeDecomposition([frozenset({2, 3}), frozenset({1, 2})], [-1, 0])
     assert solve_twdp(path, decomposition=tight).is_yes
+
+
+@pytest.mark.parametrize(
+    "edges, pairs, bags, parent, message",
+    [
+        # Vertex 2 lies in bags 0 and 2 but not in bag 1 between them; on
+        # this decomposition the DP answered "no" to a yes-instance.
+        ([(1, 2), (2, 3), (3, 4)], [(1, 4)], [{1, 2}, {3}, {2, 3}, {3, 4}], [-1, 0, 1, 1], "not connected"),
+        # Nodes 1 and 2 are each other's parent and never reach the root.
+        ([(1, 2), (2, 3), (4, 5), (5, 6)], [(1, 3), (4, 6)], [{1, 2, 3}, {4, 5}, {5, 6}], [-1, 2, 1], "root"),
+    ],
+    ids=["vertex-bags-disconnected", "parent-cycle"],
+)
+def test_decomposition_must_be_a_tree_decomposition(edges, pairs, bags, parent, message):
+    n = max(max(e) for e in edges)
+    inst = EdpInstance(Multigraph(n, edges), tuple(TerminalPair(s, t) for s, t in pairs))
+    assert inst.normalized
+    td = TreeDecomposition([frozenset(b) for b in bags], parent)
+    with pytest.raises(ValueError, match=message):
+        solve_twdp(inst, decomposition=td)
+
+
+CORRUPTIONS = ("none", "drop", "cycle", "index", "range", "edge")
+
+
+def corrupt(rng, g, td, kind):
+    """(g, bags, parent) after one corruption of the named kind; the result
+    may still be a tree decomposition, which the oracle decides."""
+    bags, parent = list(td.bags), list(td.parent)
+    children = td.children()
+    if kind == "drop":
+        # A middle occurrence (the vertex is also in the parent's bag and in
+        # a child's) when there is one, else any occurrence.
+        middle = [
+            (i, v) for i, bag in enumerate(bags) for v in sorted(bag)
+            if parent[i] >= 0 and v in bags[parent[i]] and any(v in bags[c] for c in children[i])
+        ]
+        i, v = rng.choice(middle or [(i, v) for i, bag in enumerate(bags) for v in sorted(bag)])
+        bags[i] = bags[i] - {v}
+    elif kind == "cycle":
+        # Hang a node off itself or one of its descendants.
+        i = rng.choice([j for j, p in enumerate(parent) if p >= 0] or [0])
+        below = [i]
+        for j in below:
+            below.extend(children[j])
+        parent[i] = rng.choice(below)
+    elif kind == "index":
+        parent[rng.randrange(len(parent))] = len(parent)
+    elif kind == "range":
+        i = rng.randrange(len(bags))
+        bags[i] = bags[i] | {rng.choice([0, g.n + 1])}
+    elif kind == "edge" and g.n >= 2:
+        g = Multigraph(g.n, g.edges + (tuple(rng.sample(range(1, g.n + 1), 2)),))
+    return g, bags, parent
+
+
+def test_validate_matches_the_definition(rng):
+    seen = Counter()
+    for _ in range(400):
+        g = random_multigraph(rng, max_n=9, max_m=14)
+        order = list(range(1, g.n + 1))
+        rng.shuffle(order)
+        td = rng.choice([
+            build_tree_decomposition(g),
+            _decomposition_from_order(g, order),
+            _path_layout(g, g.n) or build_tree_decomposition(g),
+        ])
+        kind = rng.choice(CORRUPTIONS)
+        g, bags, parent = corrupt(rng, g, td, kind)
+        want = is_tree_decomposition(bags, parent, g)
+        try:
+            TreeDecomposition(bags, parent).validate(g)
+            got = True
+        except ValueError:
+            got = False
+        assert got == want, (kind, g.n, g.edges, bags, parent)
+        seen[kind, want] += 1
+    assert not seen["none", False]
+    assert all(seen[kind, False] for kind in CORRUPTIONS[1:]), seen
 
 
 def test_path_layout_keeps_grid_tables_small():
