@@ -1,7 +1,12 @@
 """Command-line front end: solve, verify, gen, stats.
 
-Exit codes: 0 yes, 1 no, 2 unknown (budget or width/modulator refusals),
-64 usage or input errors, 70 internal error (the traceback goes to stderr).
+Exit codes: 0 yes, 1 no, 2 unknown (an engine's refusal status: budget,
+feedback vertex, width or modulator), 64 usage or input errors, 70 internal
+error (the traceback goes to stderr).
+
+`solve` under `--engine auto` asks the engines in turn (sedp, fracture,
+twdp, brute force), and each engine's refusal status moves the instance on
+to the next.  The engines share the instance's one normal form.
 
 `solve` and `verify` handle each file with the cyclic garbage collector
 paused (`_collector_paused`): a solve keeps large structures alive, and
@@ -45,8 +50,8 @@ from edpkit.reductions import (
     medp_to_edp,
     sidon_sequence,
 )
-from edpkit.sedp import NotFvsOne, solve_sedp
-from edpkit.treedec import WidthExceeded, build_tree_decomposition
+from edpkit.sedp import solve_sedp
+from edpkit.treedec import build_tree_decomposition
 from edpkit.twdp import solve_twdp
 
 EXIT_YES = 0
@@ -54,6 +59,8 @@ EXIT_NO = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
+
+AUTO_WIDTH_CAP = 8  # auto's twdp width target when --width-limit is not given
 
 
 def _write_solution(path: Path, verdict: str, sol: PathSet | None) -> None:
@@ -129,16 +136,19 @@ def _solve_one(path: Path, args: argparse.Namespace) -> tuple[int, str]:
     if isinstance(inst, MultiDemandInstance):
         if args.engine not in ("auto", "brute"):
             return EXIT_USAGE, f"{path}: engine {args.engine} handles plain EDP instances only"
-        engine_used, result, reason = "brute", brute_force_multi(inst, budget=args.budget), ""
+        engine_used, result, passed_on = "brute", brute_force_multi(inst, budget=args.budget), ""
     else:
-        engine_used, result, reason = _solve_edp(inst, args.engine, args)
+        engine_used, result, passed_on = _solve_edp(inst, args)
     elapsed = time.monotonic() - t0
     verdict = result.status if result.status in ("yes", "no") else "unknown"
-    if not reason:
-        reason = {
-            "budget": "budget exceeded",
-            "modulator-exceeded": f"no fracture modulator of size <= {args.kmax}",
-        }.get(result.status, "")
+    cap = _width_cap(args)
+    reason = {
+        "budget": "budget exceeded",
+        "fvs-exceeded": "no single feedback vertex exists",
+        "modulator-exceeded": f"no fracture modulator of size <= {args.kmax}",
+        "width-exceeded": f"decomposition width over auto cap {cap}"
+        if args.engine == "auto" else f"decomposition width exceeds target {cap}",
+    }.get(passed_on or result.status, "")
     # Multi-demand paths serve expanded demands, not the pairs of a solution file.
     if result.is_yes and isinstance(inst, EdpInstance):
         out = Path(args.solution) if args.solution else path.with_suffix(path.suffix + ".sol")
@@ -149,49 +159,36 @@ def _solve_one(path: Path, args: argparse.Namespace) -> tuple[int, str]:
     return code, summary
 
 
-def _solve_edp(inst: EdpInstance, engine: str, args: argparse.Namespace) -> tuple[str, SolveResult, str]:
-    """The engine that answered, its result, and a reason that replaces the
-    one its status implies.  An engine's refusal (NotFvsOne, WidthExceeded)
-    comes back as status "unknown" with its message as the reason.  Under
-    auto, twdp runs with the auto cap (--width-limit, default 8) as
-    solve_twdp's width target, and its refusal sends the instance to brute
-    force instead."""
-    x: int | None = None
-    if engine == "auto":
-        probe = find_fvs_one(inst.g)
-        if probe.found:
-            engine = "sedp"
-            # Normalization only appends pendant leaves, so the vertex found
-            # here is the one solve_sedp would find; on a forest any serves.
-            x = probe.vertex
-            if probe.already_forest and inst.g.n:
-                x = 1
-        else:
-            result = solve_fracture(inst, kmax=args.kmax)
-            if result.status != "modulator-exceeded":
-                return "fracture", result, ""
-            engine = "twdp"
-    if engine == "sedp":
-        try:
-            return "sedp", solve_sedp(inst, x=x), ""
-        except NotFvsOne as exc:
-            return "sedp", SolveResult("unknown"), str(exc)
-    if engine == "fracture":
-        return "fracture", solve_fracture(inst, kmax=args.kmax), ""
-    if engine == "twdp":
-        cap = args.width_limit
-        if cap is None and args.engine == "auto":
-            cap = 8
-        try:
-            return "twdp", solve_twdp(inst, k=cap), ""
-        except WidthExceeded as exc:
-            if args.engine != "auto":
-                return "twdp", SolveResult("unknown"), str(exc)
-        b = brute_force_edp(inst, budget=args.budget)
-        return "brute", b, f"decomposition width over auto cap {cap}"
-    if engine == "brute":
-        return "brute", brute_force_edp(inst, budget=args.budget), ""
-    raise ValueError(f"unknown engine {engine}")
+def _width_cap(args: argparse.Namespace) -> int | None:
+    """twdp's width target: --width-limit, or auto's default cap."""
+    if args.width_limit is None and args.engine == "auto":
+        return AUTO_WIDTH_CAP
+    return args.width_limit
+
+
+def _solve_edp(inst: EdpInstance, args: argparse.Namespace) -> tuple[str, SolveResult, str]:
+    """The engine that answered, its result, and the refusal status that
+    sent the instance to brute force under auto ("" otherwise).  A named
+    engine answers alone, and its refusal is its answer.  auto asks the
+    engines in turn and moves on at each one's refusal status: sedp
+    ("fvs-exceeded"), fracture within --kmax ("modulator-exceeded"), twdp
+    under the width cap ("width-exceeded"), then brute force, whose summary
+    gives twdp's refusal as its reason."""
+    engines = {
+        "sedp": lambda: solve_sedp(inst),
+        "fracture": lambda: solve_fracture(inst, kmax=args.kmax),
+        "twdp": lambda: solve_twdp(inst, k=_width_cap(args)),
+        "brute": lambda: brute_force_edp(inst, budget=args.budget),
+    }
+    if args.engine != "auto":
+        return args.engine, engines[args.engine](), ""
+    for engine, refusal in (
+        ("sedp", "fvs-exceeded"), ("fracture", "modulator-exceeded"), ("twdp", "width-exceeded")
+    ):
+        result = engines[engine]()
+        if result.status != refusal:
+            return engine, result, ""
+    return "brute", engines["brute"](), result.status
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

@@ -528,7 +528,6 @@ class SelectorProgram:
     program: IntegerProgram
     variables: list[tuple[str, Config]]  # (signature class key, config)
     class_members: dict[str, list[int]]  # signature class key -> component ids
-    class_configs: dict[str, list[Config]]
 
 
 def _net_demand(config: Config) -> Counter[tuple[int, int]]:
@@ -581,7 +580,7 @@ def build_selector_program(
             if any(coeffs):
                 le_rows.append((coeffs, 0))
     program = IntegerProgram(lower, upper, tuple(eq_rows), tuple(le_rows))
-    return SelectorProgram(program, variables, class_members, class_configs)
+    return SelectorProgram(program, variables, class_members)
 
 
 def _terminal_free_for(inst: EdpInstance, x0: FractureModulator) -> FractureModulator | None:

@@ -7,6 +7,7 @@ semantic: solution files refer to pairs by position.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from edpkit.graph import Multigraph
@@ -63,6 +64,42 @@ class EdpInstance:
                 return False
         return True
 
+    @cached_property
+    def _normal_form(self) -> EdpInstance:
+        """normalize_instance's rewrite of a non-normalized instance, kept in
+        the instance's __dict__: not a field, so ==, hash and repr ignore it."""
+        g = self.g
+        occurrences: dict[int, int] = {}
+        for p in self.pairs:
+            for v in p.members():
+                occurrences[v] = occurrences.get(v, 0) + 1
+        terminals = set(occurrences)
+        adjacent_to_terminal: set[int] = set()
+        for u, v in g.edges:
+            if u in terminals and v in terminals:
+                adjacent_to_terminal.add(u)
+                adjacent_to_terminal.add(v)
+
+        def violates(v: int) -> bool:
+            return occurrences[v] != 1 or g.degree(v) != 1 or v in adjacent_to_terminal
+
+        new_edges = list(g.edges)
+        new_pairs: list[TerminalPair] = []
+        next_id = g.n
+        for p in self.pairs:
+            ends = []
+            for v in p.members():
+                if violates(v):
+                    next_id += 1
+                    new_edges.append((v, next_id))
+                    ends.append(next_id)
+                else:
+                    ends.append(v)
+            new_pairs.append(TerminalPair(ends[0], ends[1]))
+        result = EdpInstance(Multigraph._from_checked(next_id, new_edges), tuple(new_pairs))
+        assert result.normalized, "normalization must reach a fixed point in one pass"
+        return result
+
     @property
     def terminals(self) -> set[int]:
         return {v for p in self.pairs for v in p.members()}
@@ -92,10 +129,12 @@ class PathSet:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """What every engine returns.  status is "yes" or "no", "budget" when a
-    brute-force oracle ran out of nodes, or "modulator-exceeded" when the
-    fracture pipeline found no modulator within its bound; paths is the
-    verified solution on yes."""
+    """What every engine returns.  status is "yes" or "no", or one of four
+    refusals: "budget" when a brute-force oracle ran out of nodes,
+    "fvs-exceeded" when sedp found no single feedback vertex,
+    "width-exceeded" when twdp's decomposition is wider than its target,
+    and "modulator-exceeded" when the fracture pipeline found no modulator
+    within its bound.  paths is the verified solution on yes."""
 
     status: str
     paths: PathSet | None = None
@@ -228,41 +267,11 @@ def normalize_instance(inst: EdpInstance) -> EdpInstance:
     one pair, degree differing from one, or adjacent to another terminal)
     is replaced by a fresh leaf attached to it.  Fresh leaves get ids
     n+1, n+2, ... in pair order, s before t.  The yes/no answer is
-    preserved, and the operation is idempotent.
+    preserved, and the operation is idempotent.  Each instance builds its
+    normal form once and keeps it, so every engine that normalizes it gets
+    the same object.
     """
-    if inst.normalized:
-        return inst
-    g = inst.g
-    occurrences: dict[int, int] = {}
-    for p in inst.pairs:
-        for v in p.members():
-            occurrences[v] = occurrences.get(v, 0) + 1
-    terminals = set(occurrences)
-    adjacent_to_terminal: set[int] = set()
-    for u, v in g.edges:
-        if u in terminals and v in terminals:
-            adjacent_to_terminal.add(u)
-            adjacent_to_terminal.add(v)
-
-    def violates(v: int) -> bool:
-        return occurrences[v] != 1 or g.degree(v) != 1 or v in adjacent_to_terminal
-
-    new_edges = list(g.edges)
-    new_pairs: list[TerminalPair] = []
-    next_id = g.n
-    for p in inst.pairs:
-        ends = []
-        for v in p.members():
-            if violates(v):
-                next_id += 1
-                new_edges.append((v, next_id))
-                ends.append(next_id)
-            else:
-                ends.append(v)
-        new_pairs.append(TerminalPair(ends[0], ends[1]))
-    result = EdpInstance(Multigraph._from_checked(next_id, new_edges), tuple(new_pairs))
-    assert result.normalized, "normalization must reach a fixed point in one pass"
-    return result
+    return inst if inst.normalized else inst._normal_form
 
 
 def denormalize_paths(original: EdpInstance, sol: PathSet) -> PathSet:

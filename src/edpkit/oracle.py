@@ -21,9 +21,6 @@ class BudgetExceeded(Exception):
     pass
 
 
-BruteResult = SolveResult  # alias: the oracles return the shared result type
-
-
 def _route_all(
     g: Multigraph,
     demands: list[tuple[int, int]],

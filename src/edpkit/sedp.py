@@ -84,14 +84,10 @@ class SedpInstance:
     decisions: dict[int, _Decision] = field(default_factory=dict)
 
 
-class NotFvsOne(ValueError):
-    pass
-
-
 def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
     """Rewrite (answer-preserving) so the solver's standing assumptions hold.
 
-    Rejects inputs where g - x is not a forest.  The instance must be
+    Raises ValueError where g - x is not a forest.  The instance must be
     normalized.  New vertices are allocated deterministically: first a leaf
     replacing x as a terminal (if needed), then per-tree root leaves (trees
     ordered by smallest vertex), then one gadget leaf per rewritten x-edge,
@@ -159,7 +155,7 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
                     w = b if a == v else a
                     if w != x:
                         if seen[w]:
-                            raise NotFvsOne(f"graph minus vertex {x} is not a forest")
+                            raise ValueError(f"graph minus vertex {x} is not a forest")
                         seen[w] = True
                         came_by[w] = e
                         stack.append(w)
@@ -481,8 +477,10 @@ def solve_sedp(inst: EdpInstance, x: int | None = None) -> SolveResult:
     """Decide the instance and, on yes, return a verified solution.
 
     The instance is normalized internally if needed.  If x is not supplied,
-    a single feedback vertex is searched for; inputs whose feedback vertex
-    set number exceeds one are rejected with NotFvsOne.
+    a single feedback vertex of the normalized graph is searched for (on a
+    forest, vertex 1 serves); an instance with none is refused with status
+    "fvs-exceeded".  A supplied x that is no feedback vertex raises
+    ValueError.
     """
     work = normalize_instance(inst)
     if x is None:
@@ -492,7 +490,7 @@ def solve_sedp(inst: EdpInstance, x: int | None = None) -> SolveResult:
         elif probe.already_forest:
             x = 1 if work.g.n else None
         else:
-            raise NotFvsOne("no single feedback vertex exists")
+            return SolveResult("fvs-exceeded")
     if x is None:  # empty graph
         return SolveResult("yes", certify("sedp", inst, ()))
 

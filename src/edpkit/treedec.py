@@ -82,11 +82,6 @@ class TreeDecomposition:
             raise ValueError(f"edge ({u}, {v}) is in no bag")
 
 
-class WidthExceeded(Exception):
-    """Raised by solve_twdp when the width of build_tree_decomposition's
-    decomposition is over the target k."""
-
-
 def build_tree_decomposition(g: Multigraph, k: int | None = None) -> TreeDecomposition:
     """A valid tree decomposition of g from the min-fill heuristic, whose
     width may exceed the treewidth.  With a target k it stops at the first

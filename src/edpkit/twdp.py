@@ -73,7 +73,6 @@ from edpkit.instance import (
 from edpkit.treedec import (
     NiceTreeDecomposition,
     TreeDecomposition,
-    WidthExceeded,
     build_tree_decomposition,
     make_nice,
 )
@@ -623,8 +622,9 @@ def solve_twdp(
 ) -> SolveResult:
     """Decide the instance; on yes return a verified PathSet.
 
-    k is a width target: WidthExceeded is raised, before any table is
-    computed, when the min-fill width of the normalized graph is over k.
+    k is a width target: the instance is refused with status
+    "width-exceeded", before any table is computed, when the min-fill width
+    of the normalized graph is over k.
     The DP runs on build_tree_decomposition's choice: min-fill's tree, or
     a path layout of the same width.  A pre-built
     decomposition can be supplied to pin the decomposition choice (it is
@@ -639,7 +639,7 @@ def solve_twdp(
     if decomposition is None:
         td = build_tree_decomposition(g, k)
         if k is not None and td.width > k:
-            raise WidthExceeded(f"decomposition width exceeds target {k}")
+            return SolveResult("width-exceeded")
     else:
         td = decomposition
         td.validate(g)

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -109,23 +110,61 @@ def test_auto_width_cap_on_small_graphs_falls_back_to_brute(tmp_path, capsys):
     assert "s yes [brute]" in capsys.readouterr().out
 
 
-def test_auto_twdp_normalizes_twice(tmp_path, monkeypatch, capsys):
-    # solve_fracture and solve_twdp each normalize the raw instance; auto's
-    # width decision is solve_twdp's own, so nothing normalizes a third time.
-    fresh = []
+# Hubs 1, 2, 3 joined to each of 4..9: no single feedback vertex, but a
+# fracture modulator of three vertices.  Its terminals have degree 3, so it
+# is not normalized.
+HUBS = "p edp 9 18 2\n" + "".join(f"e {h} {v}\n" for v in range(4, 10) for h in (1, 2, 3)) + "t 4 5\nt 6 7\n"
 
-    def counting(inst):
+
+@pytest.mark.parametrize(
+    "text, options, engine",
+    [
+        (grid_text([], [(1, 16), (4, 13)]), [], "twdp"),
+        (grid_text([], [(1, 16), (4, 13)]), ["--width-limit", "1"], "brute"),
+        (HUBS, [], "fracture"),
+    ],
+    ids=["twdp", "brute-past-width-limit", "fracture-on-hubs"],
+)
+def test_auto_builds_one_normal_form(tmp_path, monkeypatch, capsys, text, options, engine):
+    # sedp, fracture and twdp each normalize the raw instance, and all of
+    # them get the one normal form that the instance keeps.
+    built = []
+
+    def keeping(inst):
         out = instance.normalize_instance(inst)
         if out is not inst:
-            fresh.append(out)
+            built.append(out)
         return out
 
     for module in (cli, fracture, sedp, twdp):
-        monkeypatch.setattr(module, "normalize_instance", counting)
-    inst = write(tmp_path, "grid.edp", grid_text([], [(1, 16), (4, 13)]))
-    assert main(["solve", str(inst)]) == EXIT_YES
-    assert "[twdp]" in capsys.readouterr().out
-    assert len(fresh) == 2
+        monkeypatch.setattr(module, "normalize_instance", keeping)
+    inst = write(tmp_path, "in.edp", text)
+    assert main(["solve", *options, str(inst)]) == EXIT_YES
+    assert f"[{engine}]" in capsys.readouterr().out
+    assert len({id(out) for out in built}) == 1
+
+
+K5 = "p edp 5 10 1\n" + "".join(f"e {a} {b}\n" for a in range(1, 6) for b in range(a + 1, 6)) + "t 1 2\n"
+
+
+@pytest.mark.parametrize(
+    "text, options, engine, reason",
+    [
+        (grid_text([], [(1, 16)]), ["--engine", "sedp"], "sedp", "no single feedback vertex exists"),
+        (K5, ["--engine", "twdp", "--width-limit", "2"], "twdp", "decomposition width exceeds target 2"),
+        (grid_text([], [(1, 16)]), ["--engine", "fracture", "--kmax", "0"], "fracture",
+         "no fracture modulator of size <= 0"),
+        (grid_text([], [(1, 16)]), ["--engine", "brute", "--budget", "0"], "brute", "budget exceeded"),
+        (grid_text([], [(1, 16)]), ["--width-limit", "1", "--budget", "0"], "brute",
+         "decomposition width over auto cap 1"),
+    ],
+    ids=["sedp", "twdp", "fracture", "brute", "auto-past-width-limit"],
+)
+def test_refusal_reasons(tmp_path, capsys, text, options, engine, reason):
+    inst = write(tmp_path, "in.edp", text)
+    assert main(["solve", *options, str(inst)]) == EXIT_UNKNOWN
+    out = capsys.readouterr().out
+    assert re.fullmatch(rf"{re.escape(str(inst))}: s unknown \[{engine}\] \d+\.\d\ds \({re.escape(reason)}\)\n", out), out
 
 
 @st.composite

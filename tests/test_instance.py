@@ -95,6 +95,17 @@ def test_normalize_idempotent_and_partial(rng):
         assert normalize_instance(inst) is inst
 
 
+def test_normal_form_is_built_once_and_hidden():
+    raw = EdpInstance(Multigraph(3, [(1, 2), (2, 3), (1, 3)]), (TerminalPair(1, 2),))
+    twin = EdpInstance(raw.g, raw.pairs)
+    before = (hash(raw), repr(raw))
+    norm = normalize_instance(raw)
+    assert normalize_instance(raw) is norm
+    # The kept normal form is no field: twin, which has none yet, still equals raw.
+    assert raw == twin and (hash(raw), repr(raw)) == before == (hash(twin), repr(twin))
+    assert normalize_instance(twin) == norm and normalize_instance(twin) is not norm
+
+
 def test_normalize_preserves_answer(rng):
     for _ in range(120):
         n = rng.randint(2, 8)

@@ -4,7 +4,6 @@ import sys
 from edpkit.graph import Multigraph
 from edpkit.instance import EdpInstance, MultiDemandInstance, TerminalPair, verify_solution
 from edpkit.oracle import (
-    BruteResult,
     brute_force_edp,
     brute_force_multi,
     exhaustive_fracture_number,

@@ -9,7 +9,6 @@ from edpkit.instance import EdpInstance, TerminalPair, normalize_instance, verif
 from edpkit.oracle import brute_force_edp
 from edpkit.sedp import (
     LabelSet,
-    NotFvsOne,
     compute_labels,
     labels_for_tree,
     prepare_sedp,
@@ -31,10 +30,9 @@ def all_labels(prep):
 def test_prepare_rejects_non_fvs():
     two_tri = Multigraph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
     inst = EdpInstance(two_tri, ())
-    with pytest.raises(NotFvsOne):
+    with pytest.raises(ValueError, match="graph minus vertex 1 is not a forest"):
         prepare_sedp(inst, 1)
-    with pytest.raises(NotFvsOne):
-        solve_sedp(inst)
+    assert solve_sedp(inst).status == "fvs-exceeded"
 
 
 def test_prepare_reroutes_internal_x_edges():
