@@ -192,6 +192,10 @@ def _solve_edp(inst: EdpInstance, args: argparse.Namespace) -> tuple[str, SolveR
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.solution and len(args.files) > 1:
+        # Each "yes" would overwrite the one before it.
+        print("error: --solution takes a single instance file", file=sys.stderr)
+        return EXIT_USAGE
     worst = 0
     for f in args.files:
         # Paused per file, so the collector runs between the files.
@@ -398,7 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
         "instances to brute force (default cap 8)",
     )
     solve.add_argument("--budget", type=_count(0), default=10**7, help="brute-force node budget (default 1e7)")
-    solve.add_argument("--solution", default=None, help="solution output path (default <file>.sol)")
+    solve.add_argument(
+        "--solution", default=None, help="solution output path, for a single file (default <file>.sol)"
+    )
     solve.set_defaults(func=_cmd_solve)
 
     verify = sub.add_parser("verify", help="check a solution file against an instance")

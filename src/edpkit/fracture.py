@@ -1,8 +1,12 @@
 """FPT EDP solver parameterized by the fracture number of the augmented graph.
 
-Pipeline: find a fracture modulator X of the augmented graph (every
-component of G^P - X has at most |X| vertices), make it terminal-free,
-subdivide modulator-internal edges, enumerate for every component the set of
+Pipeline: find a least fracture modulator X of the augmented graph (every
+component of G^P - X has at most |X| vertices), make it terminal-free (an
+equally small search that avoids the terminals, else exchanging each
+terminal for its pair's neighbours, which at most doubles |X|; only a
+normal form with a single non-terminal has no terminal-free modulator, and
+there every pair is joined through that one vertex), subdivide
+modulator-internal edges, enumerate for every component the set of
 configurations it admits (its signature), and decide with an integer
 feasibility program whether one configuration per component can be selected
 so that, between every two modulator vertices, the demanded crossings are
@@ -37,10 +41,6 @@ class FractureModulator:
     @property
     def k(self) -> int:
         return len(self.vertices)
-
-
-class NoModulator(Exception):
-    """No fracture modulator within the requested size bound exists."""
 
 
 def _dfs_collect(g: Multigraph, start: int, limit: int, removed: set[int]) -> list[int]:
@@ -95,14 +95,15 @@ def pack_connected_sets(g: Multigraph, size: int, removed: set[int], limit: int)
     return sets
 
 
-def _pad_to_valid(g: Multigraph, x: set[int], forbidden: frozenset[int]) -> set[int]:
+def _pad_to_valid(g: Multigraph, x: set[int], forbidden: frozenset[int]) -> set[int] | None:
     """Grow x with smallest allowed vertices until the component-size test
-    of the definition holds (components of g - x at most |x| vertices)."""
+    of the definition holds (components of g - x at most |x| vertices);
+    None when the allowed vertices run out first."""
     x = set(x)
     while not fracture_modulator_valid(g, x):
         candidates = [v for v in range(1, g.n + 1) if v not in x and v not in forbidden]
         if not candidates:
-            raise NoModulator("cannot pad modulator to validity")
+            return None
         x.add(candidates[0])
     return x
 
@@ -144,21 +145,21 @@ def find_fracture_modulator(
     far from any small modulator is refuted in one linear pass.
     approx: deletes the whole collected set instead of branching; output
     size is at most (k+1)k and None is only returned when no modulator of
-    size <= k exists.  `forbidden` vertices are never picked (used for
-    terminal avoidance); with a nonempty forbidden set, None only means no
-    *avoiding* modulator was found.
+    size <= k exists.  `forbidden` vertices (exact mode only) are never
+    picked, and None then means that no modulator of size <= k avoids them.
     """
     if mode not in ("exact", "approx"):
         raise ValueError(f"unknown mode: {mode}")
-    cap = k
+    if forbidden and mode != "exact":
+        raise ValueError("forbidden vertices need the exact mode")
     if mode == "exact":
-        found = _branch(g, cap + 1, forbidden, set(), k)
+        found = _branch(g, k + 1, forbidden, set(), k)
     else:
         removed: set[int] = set()
         levels = k
         while True:
             comps = sorted(
-                (c for c in components_excluding(g, removed) if len(c) > cap),
+                (c for c in components_excluding(g, removed) if len(c) > k),
                 key=min,
             )
             if not comps:
@@ -167,31 +168,20 @@ def find_fracture_modulator(
             if levels <= 0:
                 found = None
                 break
-            region = [v for v in _dfs_collect(g, min(comps[0]), cap + 1, removed)]
-            if any(v in forbidden for v in region):
-                # The walk may not delete forbidden vertices; fall back to
-                # deleting the allowed part (still hits any avoiding
-                # modulator of the component).
-                region = [v for v in region if v not in forbidden]
-                if not region:
-                    found = None
-                    break
-            removed.update(region)
+            removed.update(_dfs_collect(g, min(comps[0]), k + 1, removed))
             levels -= 1
     if found is None:
         return None
-    try:
-        return FractureModulator(frozenset(_pad_to_valid(g, found, forbidden)))
-    except NoModulator:  # only forbidden vertices stop padding: all vertices form a modulator
-        return None
+    padded = _pad_to_valid(g, found, forbidden)
+    return None if padded is None else FractureModulator(frozenset(padded))
 
 
-def terminal_free_modulator(inst: EdpInstance, x0: FractureModulator) -> FractureModulator:
+def terminal_free_modulator(inst: EdpInstance, x0: FractureModulator) -> FractureModulator | None:
     """Replace every terminal in the modulator by the graph-neighbors of its
     pair; the pair then sits in its own two-vertex component.  The result
     avoids all terminals and has at most twice the input size (plus padding
     to the definition's component-size test where the exchange alone falls
-    short)."""
+    short); None when padding runs out of non-terminals."""
     if not inst.normalized:
         raise ValueError("terminal_free_modulator expects a normalized instance")
     terminals = inst.terminals
@@ -201,34 +191,11 @@ def terminal_free_modulator(inst: EdpInstance, x0: FractureModulator) -> Fractur
         for a in p.members():
             (edge,) = inst.g.incident(a)  # normalized: terminals have degree 1
             x.add(inst.g.other_end(edge, a))
-    aug = augmented_graph(inst)
-    x = _pad_to_valid(aug, x, frozenset(terminals))
-    result = FractureModulator(frozenset(x))
-    assert not (result.vertices & terminals)
-    return result
-
-
-def buffer_terminals(inst: EdpInstance) -> tuple[EdpInstance, tuple[int, ...]]:
-    """Subdivide every terminal's unique edge, giving each terminal a
-    dedicated non-terminal neighbor.  Answer-preserving; returns the new
-    instance and a map from new edge indices to source edge indices.
-
-    Rescue step for degenerate instances where so few non-terminal vertices
-    exist that no terminal-free fracture modulator can be valid."""
-    if not inst.normalized:
-        raise ValueError("buffer_terminals expects a normalized instance")
-    g = inst.g
-    terminals = inst.terminals
-    splits: dict[int, tuple[int, int]] = {}
-    next_id = g.n
-    for idx, (u, v) in enumerate(g.edges):
-        if u in terminals or v in terminals:
-            next_id += 1
-            splits[idx] = (u if u in terminals else v, next_id)
-    new_edges, edge_map = subdivide_edges(g.edges, splits)
-    out = EdpInstance(Multigraph(next_id, new_edges), inst.pairs)
-    assert out.normalized
-    return out, edge_map
+    padded = _pad_to_valid(augmented_graph(inst), x, frozenset(terminals))
+    if padded is None:
+        return None
+    assert not (padded & terminals)
+    return FractureModulator(frozenset(padded))
 
 
 def prepare_fracture(
@@ -583,22 +550,6 @@ def build_selector_program(
     return SelectorProgram(program, variables, class_members)
 
 
-def _terminal_free_for(inst: EdpInstance, x0: FractureModulator) -> FractureModulator | None:
-    """Terminal-free modulator for the instance, preferring an equally small
-    terminal-avoiding search over the doubling exchange; None when even the
-    exchange cannot reach validity."""
-    terminals = frozenset(inst.terminals)
-    if not (x0.vertices & terminals):
-        return x0
-    alt = find_fracture_modulator(augmented_graph(inst), x0.k, "exact", forbidden=terminals)
-    if alt is not None:
-        return alt
-    try:
-        return terminal_free_modulator(inst, x0)
-    except NoModulator:
-        return None
-
-
 def _least_modulator(aug: Multigraph, bound: int) -> tuple[int, FractureModulator] | None:
     """The least k <= bound for which the exact search finds a modulator
     of aug, with that modulator; None when there is no such k.  A modulator
@@ -623,20 +574,26 @@ def solve_fracture(inst: EdpInstance, kmax: int) -> SolveResult:
     if least is None:
         return SolveResult("modulator-exceeded")
 
-    base = work
-    rescue_map: tuple[int, ...] | None = None
-    x = _terminal_free_for(base, least[1])
+    x: FractureModulator | None = least[1]
+    terminals = frozenset(work.terminals)
+    if x.vertices & terminals:
+        # An equally small search that avoids the terminals, else the
+        # exchange, which at most doubles the size.
+        x = find_fracture_modulator(aug, x.k, "exact", forbidden=terminals) or terminal_free_modulator(work, x)
     if x is None:
-        # Too few non-terminal vertices for any terminal-free modulator;
-        # give every terminal a dedicated buffer neighbor and redo the
-        # modulator search on the (equivalent) buffered instance.
-        base, rescue_map = buffer_terminals(work)
-        least = _least_modulator(augmented_graph(base), 2 * kmax + 1)
-        assert least is not None, "buffered instance lost its modulator"
-        x = _terminal_free_for(base, least[1])
-        assert x is not None, "buffered instance still lacks a terminal-free modulator"
+        # No terminal-free modulator exists.  In the normal form every
+        # terminal is a leaf and no two terminals are adjacent, so deleting
+        # all non-terminals N leaves only the pair edges, components of two
+        # vertices: a terminal-free modulator exists iff |N| >= 2, and the
+        # exchange's padding, which adds non-terminals, fails only then.
+        # There is a pair here (x met a terminal) and each terminal has a
+        # non-terminal neighbour, so |N| = 1: every terminal hangs off the
+        # one non-terminal c, and each pair's path is s-c-t.
+        g = work.g
+        legs = [(g.incident(p.s)[0], g.incident(p.t)[0]) for p in work.pairs]
+        return SolveResult("yes", certify("fracture", inst, legs))
 
-    prep, x, edge_map = prepare_fracture(base, x)
+    prep, x, edge_map = prepare_fracture(work, x)
     paug = augmented_graph(prep)
     comps = sorted(components_excluding(paug, x.vertices), key=min)
     signatures = [component_signature(prep, comp, x) for comp in comps]
@@ -645,19 +602,13 @@ def solve_fracture(inst: EdpInstance, kmax: int) -> SolveResult:
     if assignment is None:
         return SolveResult("no")
 
-    # Distribute chosen configurations onto components, lowest id first.
+    # Hand the chosen configurations out to components, lowest id first.
+    # The variables are grouped by class, so one pass serves every class.
+    members = {key: iter(ids) for key, ids in selector.class_members.items()}
     chosen: dict[int, Config] = {}
-    for key in sorted(selector.class_members):
-        members = sorted(selector.class_members[key])
-        counts = [
-            (cfg, assignment[i])
-            for i, (vkey, cfg) in enumerate(selector.variables)
-            if vkey == key
-        ]
-        it = iter(members)
-        for cfg, count in counts:
-            for _ in range(count):
-                chosen[next(it)] = cfg
+    for (key, cfg), count in zip(selector.variables, assignment):
+        for _ in range(count):
+            chosen[next(members[key])] = cfg
 
     # Pool the supply paths of every selected witness.
     pools: dict[tuple[int, int], list[tuple[int, ...]]] = {}
@@ -688,7 +639,4 @@ def solve_fracture(inst: EdpInstance, kmax: int) -> SolveResult:
             parts.extend(reversed(t_edges))
             walks[j] = tuple(parts)
 
-    # Mapping through the composed map equals mapping twice: a repeat that
-    # the first map would collapse is still a repeat under the second.
-    origin = edge_map if rescue_map is None else tuple(rescue_map[e] for e in edge_map)
-    return SolveResult("yes", certify("fracture", inst, [walks[j] for j in range(len(work.pairs))], origin))
+    return SolveResult("yes", certify("fracture", inst, [walks[j] for j in range(len(work.pairs))], edge_map))

@@ -389,11 +389,18 @@ def certify(
     from its edge origin[e] (None for an added edge).  The walks are mapped
     through origin and denormalize_paths, shortcut and verified once, on
     inst.  A failure raises CertificateError, which `python -O` keeps."""
-    if origin is not None:
-        walks = map_paths(walks, origin)
-    if not inst.normalized:
-        walks = denormalize_paths(inst, PathSet(tuple(walks))).paths
-    sol = PathSet(tuple(shortcut_walk(inst.g, w, p.s) for w, p in zip(walks, inst.pairs)))
+    # An edge index out of range, or an edge that does not continue its
+    # walk, stops the mapping or the shortcut; verify_solution checks the rest.
+    try:
+        if origin is not None:
+            walks = map_paths(walks, origin)
+        if not inst.normalized:
+            walks = denormalize_paths(inst, PathSet(tuple(walks))).paths
+        sol = PathSet(tuple(shortcut_walk(inst.g, w, p.s) for w, p in zip(walks, inst.pairs)))
+    except IndexError:
+        raise CertificateError(f"{engine} produced an invalid certificate: edge index out of range") from None
+    except ValueError as exc:
+        raise CertificateError(f"{engine} produced an invalid certificate: {exc}") from None
     verdict = verify_solution(inst, sol)
     if not verdict.ok:
         raise CertificateError(f"{engine} produced an invalid certificate: {verdict.reason}")

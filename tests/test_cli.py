@@ -54,6 +54,17 @@ def test_solve_yes_writes_solution(tmp_path, capsys):
     assert main(["verify", str(inst), str(sol)]) == EXIT_YES
 
 
+def test_solution_path_takes_one_file(tmp_path, capsys):
+    # A second "yes" would overwrite the first file's solution.
+    first = write(tmp_path, "a.edp", P4)
+    second = write(tmp_path, "b.edp", "p edp 3 2 1\ne 1 2\ne 2 3\nt 3 1\n")
+    out = tmp_path / "out.sol"
+    assert main(["solve", "--solution", str(out), str(first), str(second)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--solution" in captured.err and "s yes" not in captured.out
+    assert not out.exists()
+
+
 def test_solve_engines_agree(tmp_path):
     inst = write(tmp_path, "p4.edp", P4)
     no_inst = write(tmp_path, "no.edp", NO_INSTANCE)

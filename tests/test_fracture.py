@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
-from edpkit import fracture
 from edpkit.fracture import (
     FractureModulator,
     build_selector_program,
@@ -106,6 +105,11 @@ def test_modulator_approx_contract(rng):
                 assert fracture_modulator_valid(g, approx.vertices)
 
 
+def test_forbidden_vertices_need_exact_mode():
+    with pytest.raises(ValueError):
+        find_fracture_modulator(Multigraph(3, [(1, 2), (2, 3)]), 1, "approx", forbidden=frozenset({2}))
+
+
 def test_modulator_agrees_with_exhaustive_on_small_graphs(rng):
     for _ in range(80):
         n = rng.randint(1, 7)
@@ -144,8 +148,6 @@ def test_terminal_free_modulator():
 def test_terminal_free_modulator_random(rng):
     from itertools import combinations
 
-    from edpkit.fracture import NoModulator
-
     checked = 0
     for _ in range(120):
         inst = random_normalized_instance(rng, max_n=9, max_pairs=2)
@@ -154,11 +156,12 @@ def test_terminal_free_modulator_random(rng):
         if k is None:
             continue
         x0 = find_fracture_modulator(aug, k, "exact")
-        try:
-            out = terminal_free_modulator(inst, x0)
-        except NoModulator:
-            # Legitimate only when no terminal-free modulator exists at all.
+        out = terminal_free_modulator(inst, x0)
+        if out is None:
+            # Legitimate only when no terminal-free modulator exists at all,
+            # which in the normal form means one non-terminal.
             nonterms = sorted(set(range(1, aug.n + 1)) - inst.terminals)
+            assert len(nonterms) == 1, (inst.g.edges, inst.pairs)
             for r in range(len(nonterms) + 1):
                 for sub in combinations(nonterms, r):
                     assert not fracture_modulator_valid(aug, set(sub))
@@ -343,38 +346,33 @@ def test_oracle_agreement_property(inst):
         assert verify_solution(inst, got.paths).ok
 
 
-def test_terminal_buffering_rescue(monkeypatch, rng):
-    """When no terminal-free modulator can be valid, solve_fracture buffers
-    the terminals, searches again and maps paths back through the
-    subdivision map composed with the buffering map.  About one random
-    instance in 90 below takes that branch; the path 1-2-3 with pair (3, 1)
-    always does."""
-    real = fracture.buffer_terminals
-    buffered = []
-
-    def spy(inst):
-        buffered.append(inst)
-        return real(inst)
-
-    monkeypatch.setattr(fracture, "buffer_terminals", spy)
+def test_one_hub_instances_answer_yes(rng):
+    """A normal form whose only non-terminal is one hub c has no
+    terminal-free modulator; solve_fracture answers it "yes" with the paths
+    s-c-t.  About one random instance in 90 below is such a case; the path
+    1-2-3 with pair (3, 1) is one.  Every case that is not refused agrees
+    with brute force."""
     cases = [EdpInstance(Multigraph(3, [(1, 2), (2, 3)]), (TerminalPair(3, 1),))]
     for _ in range(4000):
         n = rng.randint(2, 6)
         g = Multigraph(n, [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(1, 4))])
         ends = rng.sample(range(1, n + 1), 2 * rng.randint(1, n // 2))
         cases.append(EdpInstance(g, tuple(TerminalPair(*ends[i : i + 2]) for i in range(0, len(ends), 2))))
-    rescued = 0
+    hubs = 0
     for i, inst in enumerate(cases):
-        before = len(buffered)
         got = solve_fracture(inst, 2)
-        if len(buffered) == before:
-            assert i > 0, "the path 1-2-3 must take the rescue branch"
+        if got.status == "modulator-exceeded":
             continue
-        rescued += 1
         assert got.status == brute_force_edp(inst).status, (inst.g.edges, inst.pairs)
         if got.is_yes:
             assert verify_solution(inst, got.paths).ok
-    assert rescued >= 20
+        work = normalize_instance(inst)
+        if work.g.n - len(work.terminals) != 1:
+            assert i > 0, "the path 1-2-3 has one hub"
+            continue
+        hubs += 1
+        assert got.is_yes, (inst.g.edges, inst.pairs)
+    assert hubs >= 20
 
 
 def test_atlas_sample_agreement():

@@ -12,12 +12,14 @@ from edpkit import instance
 from edpkit.fracture import solve_fracture
 from edpkit.graph import Multigraph
 from edpkit.instance import (
+    CertificateError,
     EdpInstance,
     MultiDemandInstance,
     ParseError,
     PathSet,
     TerminalPair,
     augmented_graph,
+    certify,
     denormalize_paths,
     map_paths,
     normalize_instance,
@@ -195,6 +197,14 @@ def test_shortcut_walk():
     walk = (0, 1, 2, 3)  # 1-2-3-1-4 revisits vertex 1
     short = shortcut_walk(g, walk, 1)
     assert short == (3,)
+
+
+@pytest.mark.parametrize("walk", [(5,), (1,)], ids=["index-out-of-range", "edge-off-the-walk"])
+def test_certify_rejects_broken_walks(walk):
+    # Path 1-2-3: edge 5 does not exist, and edge 1 = (2, 3) does not leave 1.
+    inst = EdpInstance(Multigraph(3, [(1, 2), (2, 3)]), (TerminalPair(1, 3),))
+    with pytest.raises(CertificateError):
+        certify("test", inst, [walk])
 
 
 def test_certificate_check_survives_optimize():
