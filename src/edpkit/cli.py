@@ -36,9 +36,13 @@ from edpkit.instance import (
     ParseError,
     PathSet,
     SolveResult,
+    _headed,
+    _ints,
+    _out_of_range,
     augmented_graph,
     normalize_instance,
     parse_instance,
+    parse_solution,
     verify_solution,
     write_instance,
 )
@@ -71,43 +75,15 @@ def _write_solution(path: Path, verdict: str, sol: PathSet | None) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def parse_solution(text: str) -> tuple[str, PathSet]:
-    verdict = ""
-    paths: list[tuple[int, ...]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("s "):
-            if verdict:
-                raise ParseError(line_no, "duplicate verdict line")
-            verdict = line.split()[1]
-        elif line.startswith("path "):
-            rest = line[len("path ") :]
-            head, _, body = rest.partition(":")
-            try:
-                idx = int(head)
-                edges = tuple(int(tok) - 1 for tok in body.split())
-            except ValueError:
-                raise ParseError(line_no, f"malformed path line: {line!r}") from None
-            if idx != len(paths) + 1:
-                raise ParseError(line_no, f"paths out of order (got {idx})")
-            paths.append(edges)
-        else:
-            raise ParseError(line_no, f"unknown solution line: {line!r}")
-    if verdict not in ("yes", "no"):
-        raise ParseError(1, "missing or malformed verdict line")
-    return verdict, PathSet(tuple(paths))
-
-
-def _read_ascii(path: str | Path) -> str:
-    """The text of an input file; a non-ASCII byte is a ParseError."""
+def _load(parse, path: str | Path):
+    """parse() of the text of an input file; a non-ASCII byte is a ParseError."""
     raw = Path(path).read_bytes()
     try:
-        return raw.decode("ascii")
+        text = raw.decode("ascii")
     except UnicodeDecodeError as exc:
         line_no = raw.count(b"\n", 0, exc.start) + 1
         raise ParseError(line_no, f"non-ASCII byte 0x{raw[exc.start]:02x}") from None
+    return parse(text)
 
 
 @contextlib.contextmanager
@@ -129,8 +105,9 @@ def _collector_paused():
 
 def _solve_one(path: Path, args: argparse.Namespace) -> tuple[int, str]:
     try:
-        inst = parse_instance(_read_ascii(path))
+        inst = _load(parse_instance, path)
     except (OSError, ParseError) as exc:
+        # Reported in the file's summary: solve goes on to the next file.
         return EXIT_USAGE, f"{path}: {exc}"
     t0 = time.monotonic()
     if isinstance(inst, MultiDemandInstance):
@@ -208,36 +185,24 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     with _collector_paused():
-        return _verify(args)
-
-
-def _verify(args: argparse.Namespace) -> int:
-    try:
-        inst = parse_instance(_read_ascii(args.instance))
-        verdict, sol = parse_solution(_read_ascii(args.solution))
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not isinstance(inst, EdpInstance):
-        print("error: verification targets plain EDP instances", file=sys.stderr)
-        return EXIT_USAGE
-    if verdict == "no":
-        print("s no (nothing to verify)")
+        inst = _load(parse_instance, args.instance)
+        verdict, sol = _load(parse_solution, args.solution)
+        if not isinstance(inst, EdpInstance):
+            print("error: verification targets plain EDP instances", file=sys.stderr)
+            return EXIT_USAGE
+        if verdict == "no":
+            print("s no (nothing to verify)")
+            return EXIT_NO
+        outcome = verify_solution(inst, sol)
+        if outcome.ok:
+            print("verified: all paths connect their pairs edge-disjointly")
+            return EXIT_YES
+        print(f"rejected: {outcome.reason}")
         return EXIT_NO
-    outcome = verify_solution(inst, sol)
-    if outcome.ok:
-        print("verified: all paths connect their pairs edge-disjointly")
-        return EXIT_YES
-    print(f"rejected: {outcome.reason}")
-    return EXIT_NO
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    try:
-        inst = parse_instance(_read_ascii(args.file))
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    inst = _load(parse_instance, args.file)
     g = inst.g
     demands = len(inst.pairs) if isinstance(inst, EdpInstance) else len(inst.triples)
     print(f"n {g.n}")
@@ -268,12 +233,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         print(" ".join(str(x) for x in seq))
         return EXIT_YES
     if args.generator == "mcc-pipeline":
-        try:
-            mcc = parse_mcc(_read_ascii(args.file))
-        except (OSError, ParseError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        res = full_pipeline(mcc)
+        res = full_pipeline(_load(parse_mcc, args.file))
         for key, value in sorted(res.meta.items()):
             print(f"c meta {key} {value}")
         for key, value in sorted(res.audits.items()):
@@ -281,11 +241,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         sys.stdout.write(write_instance(res.edp))
         return EXIT_YES if all(res.audits.values()) else EXIT_UNKNOWN
     if args.generator == "medp":
-        try:
-            base = parse_instance(_read_ascii(args.file))
-        except (OSError, ParseError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        base = _load(parse_instance, args.file)
         if isinstance(base, EdpInstance) or base.g.directed or len(base.triples) != 3:
             print("error: medp generator expects a muedp file with three triples", file=sys.stderr)
             return EXIT_USAGE
@@ -305,67 +261,43 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def parse_mcc(text: str) -> MccInstance:
-    """Multicolored-clique input: "p mcc <n> <m> <k>", then "v <vertex>
-    <part>" lines (1-based parts) and "e <u> <v>" lines."""
-    n = m = k = 0
+    """Multicolored-clique input: "p mcc <n> <m> <k>", then one "v <vertex>
+    <part>" line per vertex (1-based parts) and m "e <u> <v>" lines."""
+    _, n, m, k, lines = _headed(text, ("mcc",))
+    if n < 1:
+        raise ParseError(1, "an mcc instance needs at least one vertex")
     part_of: dict[int, int] = {}
-    edges: list[tuple[int, int]] = []
-    edge_lines: list[int] = []
-    seen_header = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        if fields[0] == "p":
-            if seen_header:
-                raise ParseError(line_no, "duplicate header")
-            if len(fields) != 5 or fields[1] != "mcc":
-                raise ParseError(line_no, f"malformed header: {line!r}")
-            try:
-                n, m, k = int(fields[2]), int(fields[3]), int(fields[4])
-            except ValueError:
-                raise ParseError(line_no, f"malformed header: {line!r}") from None
-            if n < 1:
-                raise ParseError(line_no, "an mcc instance needs at least one vertex")
-            seen_header = True
-        elif fields[0] == "v":
-            if not seen_header or len(fields) != 3:
-                raise ParseError(line_no, f"malformed part line: {line!r}")
-            try:
-                v, part = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise ParseError(line_no, f"malformed part line: {line!r}") from None
+    edges: dict[int, tuple[int, int]] = {}  # line number -> edge
+    for line_no, fields in lines:
+        tag = fields[0]
+        if tag == "v":
+            v, part = _ints(line_no, "part line", fields, 3)
             if not 1 <= v <= n:
-                raise ParseError(line_no, f"vertex id out of range: {v}")
+                raise _out_of_range(line_no, v)
+            if v in part_of:
+                raise ParseError(line_no, f"duplicate part line for vertex {v}")
             part_of[v] = part
-        elif fields[0] == "e":
-            if not seen_header or len(fields) != 3:
-                raise ParseError(line_no, f"malformed edge line: {line!r}")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise ParseError(line_no, f"malformed edge line: {line!r}") from None
+        elif tag == "e":
+            u, v = _ints(line_no, "edge line", fields, 3)
             if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(line_no, f"vertex id out of range: ({u}, {v})")
-            edges.append((u, v))
-            edge_lines.append(line_no)
+                raise _out_of_range(line_no, u, v)
+            edges[line_no] = (u, v)
+        elif tag == "p":
+            raise ParseError(line_no, "duplicate header")
         else:
-            raise ParseError(line_no, f"unknown line tag {fields[0]!r}")
-    if not seen_header:
-        raise ParseError(1, "missing header")
+            raise ParseError(line_no, f"unknown line tag: {tag!r}")
     if len(edges) != m:
-        raise ParseError(1, f"edge count mismatch: header says {m}, found {len(edges)}")
+        raise ParseError(len(text.splitlines()), f"edge count mismatch: header says {m}, found {len(edges)}")
     parts: list[list[int]] = [[] for _ in range(k)]
     for v in range(1, n + 1):
         part = part_of.get(v)
         if part is None or not (1 <= part <= k):
             raise ParseError(1, f"vertex {v} has no valid part")
         parts[part - 1].append(v)
-    for (u, v), line_no in zip(edges, edge_lines):
+    for line_no, (u, v) in edges.items():
         if part_of[u] == part_of[v]:
             raise ParseError(line_no, f"edge ({u}, {v}) inside part {part_of[u]}")
-    return MccInstance(n, tuple(tuple(p) for p in parts), tuple(edges))
+    return MccInstance(n, tuple(tuple(p) for p in parts), tuple(edges.values()))
 
 
 def _count(minimum: int):
@@ -447,6 +379,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except (OSError, ParseError) as exc:
+        # An unreadable or malformed input file, or an unwritable output file.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception:
         # A crash must not exit with 1, which reads as "no".
         traceback.print_exc()

@@ -1,14 +1,18 @@
 """EDP instance model: normalization, augmented graph, text format, verification.
 
-The text format is line oriented (see `parse_instance`).  Pair order is
-semantic: solution files refer to pairs by position.
+The instance, solution and multicolored-clique formats share one line
+reader (`_lines`): every line splits into whitespace-separated fields, a
+blank line or one whose first field starts with "c" is a comment, and every
+fault is a ParseError that names its line (see `parse_instance`).  Pair
+order is semantic: solution files refer to pairs by position.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from edpkit.graph import Multigraph
 
@@ -46,50 +50,35 @@ class EdpInstance:
             for v in p.members():
                 if not (1 <= v <= self.g.n):
                     raise ValueError(f"terminal {v} out of range")
-        object.__setattr__(self, "normalized", self._check_normalized())
+        object.__setattr__(self, "normalized", not self._violators())
 
-    def _check_normalized(self) -> bool:
-        # Reads only the terminals' incidence lists: once every terminal has
-        # degree one, an edge between two terminals is some terminal's edge.
+    def _violators(self) -> set[int]:
+        """The terminals that break a standing assumption: they occur more
+        than once in the pairs, have degree other than one, or have a
+        terminal neighbour.  Reads only the terminals' incidence lists."""
         edges, incident = self.g.edges, self.g._incident
         terminals = [v for p in self.pairs for v in p.members()]
         seen = set(terminals)
-        if len(seen) != len(terminals):
-            return False
-        for v in terminals:
-            if len(incident[v]) != 1:
-                return False
-            a, b = edges[incident[v][0]]
-            if a in seen and b in seen:
-                return False
-        return True
+        # v is an end of its one edge, so both ends are terminals exactly
+        # when its neighbour is one.
+        bad = {v for v in seen if len(incident[v]) != 1 or seen.issuperset(edges[incident[v][0]])}
+        if len(seen) < len(terminals):
+            bad.update(v for v, count in Counter(terminals).items() if count > 1)
+        return bad
 
     @cached_property
     def _normal_form(self) -> EdpInstance:
         """normalize_instance's rewrite of a non-normalized instance, kept in
         the instance's __dict__: not a field, so ==, hash and repr ignore it."""
         g = self.g
-        occurrences: dict[int, int] = {}
-        for p in self.pairs:
-            for v in p.members():
-                occurrences[v] = occurrences.get(v, 0) + 1
-        terminals = set(occurrences)
-        adjacent_to_terminal: set[int] = set()
-        for u, v in g.edges:
-            if u in terminals and v in terminals:
-                adjacent_to_terminal.add(u)
-                adjacent_to_terminal.add(v)
-
-        def violates(v: int) -> bool:
-            return occurrences[v] != 1 or g.degree(v) != 1 or v in adjacent_to_terminal
-
+        bad = self._violators()
         new_edges = list(g.edges)
         new_pairs: list[TerminalPair] = []
         next_id = g.n
         for p in self.pairs:
             ends = []
             for v in p.members():
-                if violates(v):
+                if v in bad:
                     next_id += 1
                     new_edges.append((v, next_id))
                     ends.append(next_id)
@@ -160,6 +149,49 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
+def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of every line that is neither blank nor a comment."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if fields and fields[0][0] != "c":
+            yield line_no, fields
+
+
+def _malformed(line_no: int, what: str, fields: list[str]) -> ParseError:
+    return ParseError(line_no, f"malformed {what}: {' '.join(fields)!r}")
+
+
+def _ints(line_no: int, what: str, fields: list[str], want: int, start: int = 1) -> list[int]:
+    """fields[start:] as ints, on a line of exactly `want` fields; any other
+    line is a malformed `what`."""
+    if len(fields) == want:
+        try:
+            return [int(x) for x in fields[start:]]
+        except ValueError:
+            pass
+    raise _malformed(line_no, what, fields)
+
+
+def _out_of_range(line_no: int, *ids: int) -> ParseError:
+    return ParseError(line_no, f"vertex id out of range: ({', '.join(map(str, ids))})")
+
+
+def _headed(text: str, kinds: tuple[str, ...]) -> tuple[str, int, int, int, Iterator[tuple[int, list[str]]]]:
+    """The kind and the three counts of the header "p <kind> <a> <b> <c>",
+    which must come before every other line, and the lines after it."""
+    lines = _lines(text)
+    for line_no, fields in lines:
+        if fields[0] != "p":
+            raise ParseError(line_no, f"{fields[0]!r} line before header")
+        a, b, c = _ints(line_no, "header", fields, 5, start=2)
+        if fields[1] not in kinds:
+            raise _malformed(line_no, "header", fields)
+        if a < 0 or b < 0 or c < 0:
+            raise ParseError(line_no, "negative count in header")
+        return fields[1], a, b, c, lines
+    raise ParseError(1, "missing header")
+
+
 def parse_instance(text: str) -> EdpInstance | MultiDemandInstance:
     """Parse the line-oriented instance format.
 
@@ -170,56 +202,28 @@ def parse_instance(text: str) -> EdpInstance | MultiDemandInstance:
       - m edge lines "e <u> <v>" (read as arcs u->v for mdedp)
       - demand lines: "t <a> <b>" for edp, "t <s> <t> <n>" for mdedp/muedp
     """
-    kind = ""
-    n = m = p = 0
+    kind, n, m, p, lines = _headed(text, ("edp", "mdedp", "muedp"))
     edges: list[tuple[int, int]] = []
     pairs: list[TerminalPair] = []
     triples: list[tuple[int, int, int]] = []
-    header_seen = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split()
-        if not fields or fields[0][0] == "c":
-            continue
+    for line_no, fields in lines:
         tag = fields[0]
-        if tag == "p":
-            if header_seen:
-                raise ParseError(line_no, "duplicate header")
-            if len(fields) != 5 or fields[1] not in ("edp", "mdedp", "muedp"):
-                raise ParseError(line_no, f"malformed header: {raw.strip()!r}")
-            kind = fields[1]
+        if tag == "e":
+            # Edge lines are most of a file: checked inline, with no call per line.
             try:
-                n, m, p = int(fields[2]), int(fields[3]), int(fields[4])
+                _, a, b = fields
+                u, v = int(a), int(b)
             except ValueError:
-                raise ParseError(line_no, f"malformed header: {raw.strip()!r}") from None
-            if n < 0 or m < 0 or p < 0:
-                raise ParseError(line_no, "negative count in header")
-            header_seen = True
-        elif tag == "e":
-            if not header_seen:
-                raise ParseError(line_no, "edge line before header")
-            if len(fields) != 3:
-                raise ParseError(line_no, f"malformed edge line: {raw.strip()!r}")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise ParseError(line_no, f"malformed edge line: {raw.strip()!r}") from None
+                raise _malformed(line_no, "edge line", fields) from None
             if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(line_no, f"vertex id out of range: ({u}, {v})")
+                raise _out_of_range(line_no, u, v)
             if u == v:
                 raise ParseError(line_no, f"self-loop rejected: ({u}, {v})")
             edges.append((u, v))
         elif tag == "t":
-            if not header_seen:
-                raise ParseError(line_no, "demand line before header")
-            want = 3 if kind == "edp" else 4
-            if len(fields) != want:
-                raise ParseError(line_no, f"malformed demand line: {raw.strip()!r}")
-            try:
-                nums = [int(x) for x in fields[1:]]
-            except ValueError:
-                raise ParseError(line_no, f"malformed demand line: {raw.strip()!r}") from None
+            nums = _ints(line_no, "demand line", fields, 3 if kind == "edp" else 4)
             if not (1 <= nums[0] <= n and 1 <= nums[1] <= n):
-                raise ParseError(line_no, f"vertex id out of range: ({nums[0]}, {nums[1]})")
+                raise _out_of_range(line_no, nums[0], nums[1])
             if kind == "edp":
                 if nums[0] == nums[1]:
                     raise ParseError(line_no, "terminal pair with equal endpoints")
@@ -228,20 +232,49 @@ def parse_instance(text: str) -> EdpInstance | MultiDemandInstance:
                 if nums[2] < 0:
                     raise ParseError(line_no, "negative demand multiplicity")
                 triples.append((nums[0], nums[1], nums[2]))
+        elif tag == "p":
+            raise ParseError(line_no, "duplicate header")
         else:
             raise ParseError(line_no, f"unknown line tag: {tag!r}")
-    if not header_seen:
-        raise ParseError(1, "missing header")
     if len(edges) != m:
-        raise ParseError(line_no if text else 1, f"edge count mismatch: header says {m}, found {len(edges)}")
+        raise ParseError(len(text.splitlines()), f"edge count mismatch: header says {m}, found {len(edges)}")
     demands = len(pairs) if kind == "edp" else len(triples)
     if demands != p:
-        raise ParseError(line_no if text else 1, f"demand count mismatch: header says {p}, found {demands}")
+        raise ParseError(len(text.splitlines()), f"demand count mismatch: header says {p}, found {demands}")
     # Every edge line was checked above, so the graph skips the checks.
     g = Multigraph._from_checked(n, edges, directed=(kind == "mdedp"))
     if kind == "edp":
         return EdpInstance(g, tuple(pairs))
     return MultiDemandInstance(g, tuple(triples))
+
+
+def parse_solution(text: str) -> tuple[str, PathSet]:
+    """Parse a solution file: "s yes" or "s no", then on yes one line
+    "path <i>: <edge> ..." per pair, in pair order, with 1-based edge indices."""
+    verdict = ""
+    paths: list[tuple[int, ...]] = []
+    for line_no, fields in _lines(text):
+        if fields[0] == "s":
+            if verdict:
+                raise ParseError(line_no, "duplicate verdict line")
+            if len(fields) != 2:
+                raise _malformed(line_no, "verdict line", fields)
+            verdict = fields[1]
+        elif fields[0] == "path":
+            head, _, body = " ".join(fields[1:]).partition(":")
+            try:
+                idx = int(head)
+                edges = tuple(int(tok) - 1 for tok in body.split())
+            except ValueError:
+                raise _malformed(line_no, "path line", fields) from None
+            if idx != len(paths) + 1:
+                raise ParseError(line_no, f"paths out of order (got {idx})")
+            paths.append(edges)
+        else:
+            raise ParseError(line_no, f"unknown solution line: {' '.join(fields)!r}")
+    if verdict not in ("yes", "no"):
+        raise ParseError(1, "missing or malformed verdict line")
+    return verdict, PathSet(tuple(paths))
 
 
 def write_instance(inst: EdpInstance | MultiDemandInstance) -> str:
@@ -389,14 +422,15 @@ def certify(
     from its edge origin[e] (None for an added edge).  The walks are mapped
     through origin and denormalize_paths, shortcut and verified once, on
     inst.  A failure raises CertificateError, which `python -O` keeps."""
-    # An edge index out of range, or an edge that does not continue its
-    # walk, stops the mapping or the shortcut; verify_solution checks the rest.
+    # An edge index out of range, an edge that does not continue its walk,
+    # or a walk count other than the pair count stops the mapping or the
+    # shortcut; verify_solution checks the rest.
     try:
         if origin is not None:
             walks = map_paths(walks, origin)
         if not inst.normalized:
             walks = denormalize_paths(inst, PathSet(tuple(walks))).paths
-        sol = PathSet(tuple(shortcut_walk(inst.g, w, p.s) for w, p in zip(walks, inst.pairs)))
+        sol = PathSet(tuple(shortcut_walk(inst.g, w, p.s) for w, p in zip(walks, inst.pairs, strict=True)))
     except IndexError:
         raise CertificateError(f"{engine} produced an invalid certificate: edge index out of range") from None
     except ValueError as exc:

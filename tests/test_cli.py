@@ -265,6 +265,25 @@ def test_verify_rejects_a_second_verdict_line(tmp_path, capsys, sol_text):
     capsys.readouterr()
 
 
+def test_verify_rejects_extra_verdict_fields(tmp_path, capsys):
+    inst = write(tmp_path, "p4.edp", P4)
+    sol_text = "s yes extra words\npath 1: 1 2 3\n"
+    sol = write(tmp_path, "p4.sol", sol_text)
+    with pytest.raises(ParseError, match="line 1: malformed verdict line"):
+        parse_solution(sol_text)
+    assert main(["verify", str(inst), str(sol)]) == EXIT_USAGE
+    capsys.readouterr()
+
+
+def test_unwritable_solution_path_exits_usage(tmp_path, capsys):
+    # An OSError writing the solution is a usage error, not an internal one.
+    inst = write(tmp_path, "p4.edp", P4)
+    out = tmp_path / "no-such-dir" / "p4.sol"
+    assert main(["solve", "--solution", str(out), str(inst)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+
+
 def test_forest_solve_does_not_import_networkx(tmp_path):
     # networkx is imported by the first matching call, and a path needs none.
     inst = write(tmp_path, "p4.edp", P4)
@@ -575,6 +594,27 @@ def test_mutated_files_exit_usage_exactly_on_parse_errors(tmp_path_factory, inst
         assert verified == EXIT_USAGE, (inst_text, sol_text)
 
 
+TRIANGLE_MCC = "c a triangle, one vertex per part\np mcc 3 3 3\nv 1 1\nv 2 2\nv 3 3\ne 1 2\ne 2 3\ne 1 3\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ops=mutations)
+def test_mutated_mcc_files_exit_usage_exactly_on_parse_errors(tmp_path_factory, ops):
+    # The third input format under the same gate as instances and solutions.
+    text = mutate(TRIANGLE_MCC, ops)
+    path = write(tmp_path_factory.mktemp("mcc"), "m.mcc", text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["gen", "mcc-pipeline", str(path)])
+    assert "Traceback" not in err.getvalue(), (text, err.getvalue())
+    if not ops:
+        assert code == EXIT_YES
+    if parses(parse_mcc, text):
+        assert code in (EXIT_YES, EXIT_UNKNOWN), text
+    else:
+        assert code == EXIT_USAGE, text
+
+
 MUEDP_BASE = "p muedp 2 1 3\ne 1 2\nt 1 2 0\nt 1 2 0\nt 2 1 0\n"
 
 
@@ -588,6 +628,7 @@ MUEDP_BASE = "p muedp 2 1 3\ne 1 2\nt 1 2 0\nt 1 2 0\nt 2 1 0\n"
         (["gen", "mcc-pipeline"], "p mcc 0 0 0\n"),
         (["gen", "mcc-pipeline"], "p mcc 3 3 3\np mcc 2 1 2\nv 1 1\nv 2 2\ne 1 2\n"),
         (["gen", "mcc-pipeline"], "p mcc 2 1 2\nv 1 1\nv 2 2\nv 7 1\ne 1 2\n"),
+        (["gen", "mcc-pipeline"], "p mcc 2 1 2\nv 1 2\nv 1 1\nv 2 2\ne 1 2\n"),
         (["solve", "--kmax", "-1"], P4),
         (["solve", "--width-limit", "-1"], P4),
         (["solve", "--budget", "-1"], P4),
@@ -595,8 +636,8 @@ MUEDP_BASE = "p muedp 2 1 3\ne 1 2\nt 1 2 0\nt 1 2 0\nt 2 1 0\n"
     ],
     ids=[
         "sidon-zero", "medp-negative", "mcc-edge-in-part", "mcc-edge-out-of-range", "mcc-no-vertex",
-        "mcc-duplicate-header", "mcc-part-out-of-range", "solve-kmax-negative", "solve-width-limit-negative",
-        "solve-budget-negative", "stats-kmax-negative",
+        "mcc-duplicate-header", "mcc-part-out-of-range", "mcc-duplicate-part-line", "solve-kmax-negative",
+        "solve-width-limit-negative", "solve-budget-negative", "stats-kmax-negative",
     ],
 )
 def test_bad_gen_arguments_exit_usage(tmp_path, capsys, argv, text):

@@ -129,6 +129,40 @@ def _forced(inst):
     return normalize_instance(inst)
 
 
+@st.composite
+def instances_with_pairs(draw):
+    """A small multigraph with up to three pairs; terminals may repeat,
+    touch each other and have any degree."""
+    g = draw(multigraphs())
+    if g.n < 2:
+        g = Multigraph(2, [(1, 2)])
+    pair = st.tuples(st.integers(1, g.n), st.integers(1, g.n)).filter(lambda p: p[0] != p[1])
+    return EdpInstance(g, tuple(TerminalPair(s, t) for s, t in draw(st.lists(pair, max_size=3))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(instances_with_pairs())
+def test_normal_form_matches_an_edge_scan(inst):
+    # Reference rule: a terminal occurrence gets a leaf when its terminal
+    # occurs twice, has degree other than one, or ends an edge whose other
+    # end is a terminal, found by scanning every edge.
+    terminals = [v for p in inst.pairs for v in p.members()]
+    adjacent = {v for e in inst.g.edges if set(e) <= set(terminals) for v in e}
+    bad = {v for v in terminals if terminals.count(v) > 1 or inst.g.degree(v) != 1 or v in adjacent}
+    assert inst.normalized == (not bad)
+    edges, pairs, next_id = list(inst.g.edges), [], inst.g.n
+    for p in inst.pairs:
+        ends = []
+        for v in p.members():
+            if v in bad:
+                next_id += 1
+                edges.append((v, next_id))
+            ends.append(next_id if v in bad else v)
+        pairs.append(TerminalPair(*ends))
+    want = EdpInstance(Multigraph(next_id, edges), tuple(pairs)) if bad else inst
+    assert normalize_instance(inst) == want and want.normalized
+
+
 def test_augmented_graph_examples():
     inst = EdpInstance(Multigraph(2, []), (TerminalPair(1, 2),))
     aug = augmented_graph(inst)
@@ -205,6 +239,15 @@ def test_certify_rejects_broken_walks(walk):
     inst = EdpInstance(Multigraph(3, [(1, 2), (2, 3)]), (TerminalPair(1, 3),))
     with pytest.raises(CertificateError):
         certify("test", inst, [walk])
+
+
+def test_certify_rejects_a_walk_without_a_pair():
+    # The second walk names an edge that does not exist; it must not be
+    # dropped unchecked because the instance has one pair.
+    inst = EdpInstance(Multigraph(3, [(1, 2), (2, 3)]), (TerminalPair(1, 3),))
+    assert certify("test", inst, [(0, 1)]) == PathSet(((0, 1),))
+    with pytest.raises(CertificateError):
+        certify("test", inst, [(0, 1), (7,)])
 
 
 def test_certificate_check_survives_optimize():
