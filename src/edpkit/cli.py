@@ -126,13 +126,18 @@ def _solve_one(path: Path, args: argparse.Namespace) -> tuple[int, str]:
         "width-exceeded": f"decomposition width over auto cap {cap}"
         if args.engine == "auto" else f"decomposition width exceeds target {cap}",
     }.get(passed_on or result.status, "")
+    code = {"yes": EXIT_YES, "no": EXIT_NO}.get(verdict, EXIT_UNKNOWN)
     # Multi-demand paths serve expanded demands, not the pairs of a solution file.
     if result.is_yes and isinstance(inst, EdpInstance):
         out = Path(args.solution) if args.solution else path.with_suffix(path.suffix + ".sol")
-        _write_solution(out, "yes", result.paths)
-        reason = f"solution written to {out}"
+        try:
+            _write_solution(out, "yes", result.paths)
+            reason = f"solution written to {out}"
+        except OSError as exc:
+            # A usage error of this file only: solve goes on to the next one.
+            print(f"error: {exc}", file=sys.stderr)
+            code, reason = EXIT_USAGE, f"solution not written: {exc}"
     summary = f"{path}: s {verdict} [{engine_used}] {elapsed:.2f}s" + (f" ({reason})" if reason else "")
-    code = {"yes": EXIT_YES, "no": EXIT_NO}.get(verdict, EXIT_UNKNOWN)
     return code, summary
 
 

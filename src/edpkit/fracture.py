@@ -6,20 +6,24 @@ equally small search that avoids the terminals, else exchanging each
 terminal for its pair's neighbours, which at most doubles |X|; only a
 normal form with a single non-terminal has no terminal-free modulator, and
 there every pair is joined through that one vertex), subdivide
-modulator-internal edges, enumerate for every component the set of
+modulator-internal edges, find for every component the set of
 configurations it admits (its signature), and decide with an integer
 feasibility program whether one configuration per component can be selected
 so that, between every two modulator vertices, the demanded crossings are
-covered by the supplied connecting paths.  Feasible selections are turned
-back into explicit edge-disjoint paths.
+covered by the supplied connecting paths.  A component has at most |X|
+vertices, so the configurations it admits are decided inside it: each
+candidate routing of its pairs and supply of modulator-to-modulator paths
+is one call of the path search `oracle._route_all` on the multigraph of the
+component and the modulator vertices next to it.  Feasible selections are
+turned back into explicit edge-disjoint paths from the paths found there.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
-from typing import Iterator
+from itertools import combinations, permutations, product
 
 from edpkit.graph import Multigraph, components_excluding
 from edpkit.ilp import IntegerProgram, solve_feasibility
@@ -31,7 +35,7 @@ from edpkit.instance import (
     normalize_instance,
     subdivide_edges,
 )
-from edpkit.oracle import fracture_modulator_valid
+from edpkit.oracle import _route_all, fracture_modulator_valid
 
 
 @dataclass(frozen=True)
@@ -243,100 +247,11 @@ class ComponentWitness:
 Signature = dict[Config, ComponentWitness]
 
 
-def _enumerate_path_sets(
-    g: Multigraph, edge_ids: list[int], endpoint_ok: set[int]
-) -> Iterator[list[tuple[tuple[int, ...], int, int]]]:
-    """All sets of pairwise edge-disjoint vertex-simple paths over the given
-    edges whose endpoints both lie in endpoint_ok.
-
-    Paths are grown contiguously around their lowest-index edge (one arm at
-    a time), so each path set is produced exactly once, already oriented:
-    entries are (ordered edge walk, from-vertex, to-vertex)."""
-    order = sorted(edge_ids)
-    pos = {e: i for i, e in enumerate(order)}
-    incident: dict[int, list[int]] = {}
-    for e in order:
-        u, v = g.edges[e]
-        incident.setdefault(u, []).append(e)
-        incident.setdefault(v, []).append(e)
-    decided = [False] * len(order)
-    finished: list[tuple[tuple[int, ...], int, int]] = []
-
-    def skip(i: int) -> int:
-        while i < len(order) and decided[i]:
-            i += 1
-        return i
-
-    def rec(i: int) -> Iterator[list[tuple[tuple[int, ...], int, int]]]:
-        i = skip(i)
-        if i == len(order):
-            yield list(finished)
-            return
-        e = order[i]
-        decided[i] = True
-        # Option: edge stays unused.
-        yield from rec(i + 1)
-        # Option: e anchors a new path (it is the path's lowest edge index).
-        u, v = g.edges[e]
-        verts = {u, v}
-        arm2: list[int] = []
-        arm1: list[int] = []
-
-        def finalize(end1: int, end2: int) -> Iterator[list]:
-            if end1 not in endpoint_ok or end2 not in endpoint_ok:
-                return
-            walk = tuple(reversed(arm1)) + (e,) + tuple(arm2)
-            finished.append((walk, end1, end2))
-            yield from rec(i + 1)
-            finished.pop()
-
-        def grow_arm1(end1: int, end2: int) -> Iterator[list]:
-            yield from finalize(end1, end2)
-            for f in incident.get(end1, ()):
-                j = pos[f]
-                if decided[j] or j <= i:
-                    continue
-                w = g.other_end(f, end1)
-                if w in verts:
-                    continue
-                decided[j] = True
-                arm1.append(f)
-                verts.add(w)
-                yield from grow_arm1(w, end2)
-                verts.discard(w)
-                arm1.pop()
-                decided[j] = False
-
-        def grow_arm2(end2: int) -> Iterator[list]:
-            yield from grow_arm1(u, end2)
-            for f in incident.get(end2, ()):
-                j = pos[f]
-                if decided[j] or j <= i:
-                    continue
-                w = g.other_end(f, end2)
-                if w in verts:
-                    continue
-                decided[j] = True
-                arm2.append(f)
-                verts.add(w)
-                yield from grow_arm2(w)
-                verts.discard(w)
-                arm2.pop()
-                decided[j] = False
-
-        try:
-            yield from grow_arm2(v)
-        finally:
-            del grow_arm1, grow_arm2
-        decided[i] = False
-
-    # rec, grow_arm1 and grow_arm2 reach themselves through their own
-    # cells; dropping the names once the search is over frees them by
-    # reference counting instead of leaving cycles for the collector.
-    try:
-        yield from rec(0)
-    finally:
-        del rec
+def _paths(g: Multigraph, demands: list[tuple[int, int]]) -> list[tuple[int, ...]] | None:
+    """Edge-disjoint paths of g for the demands, in order, or None; an
+    empty demand list needs no search.  The budget is unbounded, as the
+    configuration set must be exact."""
+    return _route_all(g, demands, math.inf, directed=False) if demands else []
 
 
 def component_signature(
@@ -345,102 +260,83 @@ def component_signature(
     x: FractureModulator,
 ) -> Signature:
     """The exact set of configurations the component admits, each with one
-    stored witness.  Enumerates partitions of the component's incident graph
-    edges into paths, keeps those whose paths are pair connections, pair
-    half-paths, or modulator-to-modulator supply, and expands every
-    admissible trace choice for the half-routed pairs."""
+    stored witness.
+
+    The search runs on the component's own multigraph: the component and
+    the modulator vertices next to it (its anchors), relabelled 1..n.  A
+    routing joins each pair of the component either inside it or through
+    two distinct anchors, one per terminal, with at most k pairs routed
+    through anchors.  For each routing the supply vector (how many paths
+    join each two anchors, at most k^2) is counted up from zero: a vector
+    is tried once, from the vector whose last raised count is one lower,
+    and only when that vector was realizable, since lowering a count keeps
+    a vector realizable.  One `_route_all` call decides each try, and its
+    paths are the witness.  Every admissible trace choice of the routed
+    pairs is then expanded into a configuration."""
     g = inst.g
     mod = x.vertices
     k = len(mod)
-    allowed = comp | mod
-    edge_ids = [
-        i
-        for i, (u, v) in enumerate(g.edges)
-        if u in allowed and v in allowed and (u in comp or v in comp)
-    ]
+    edge_ids = sorted({e for v in comp for e in g.incident(v)})
+    anchors = sorted({w for e in edge_ids for w in g.edges[e] if w in mod})
+    local = {v: i for i, v in enumerate(sorted(comp) + anchors, start=1)}
+    sub = Multigraph._from_checked(len(local), [(local[u], local[v]) for u, v in (g.edges[e] for e in edge_ids)])
+    room = {a: sub.degree(local[a]) for a in anchors}
+    keys = list(combinations(anchors, 2))
     pair_indices = sorted(
         j for j, p in enumerate(inst.pairs) if set(p.members()) & comp
     )
     for j in pair_indices:
         assert set(inst.pairs[j].members()) <= comp, "pair split across components"
-    terminals = {inst.pairs[j].s: j for j in pair_indices}
-    terminals.update({inst.pairs[j].t: j for j in pair_indices})
 
-    protos: dict[
-        tuple[tuple[tuple[int, int, int], ...], tuple[tuple[tuple[int, int], int], ...]],
-        tuple[dict[int, tuple[int, ...]], dict, dict],
-    ] = {}
-    endpoint_ok = set(mod) | set(terminals)
-    for path_set in _enumerate_path_sets(g, edge_ids, endpoint_ok):
-        internal: dict[int, tuple[int, ...]] = {}
-        half_of: dict[int, dict[int, tuple[tuple[int, ...], int]]] = {}
-        supply: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-        ok = True
-        served: set[int] = set()
-        for walk, a, b in path_set:
-            a_term = a in terminals
-            b_term = b in terminals
-            if a_term and b_term:
-                if terminals[a] != terminals[b] or a in served or b in served:
-                    ok = False
-                    break
-                j = terminals[a]
-                p = inst.pairs[j]
-                internal[j] = walk if a == p.s else tuple(reversed(walk))
-                served.add(a)
-                served.add(b)
-            elif a_term or b_term:
-                term, anchor = (a, b) if a_term else (b, a)
-                oriented = walk if a_term else tuple(reversed(walk))
-                if term in served:
-                    ok = False
-                    break
-                j = terminals[term]
-                half_of.setdefault(j, {})[term] = (oriented, anchor)
-                served.add(term)
-            else:
-                key = (a, b) if a < b else (b, a)
-                oriented = walk if a == key[0] else tuple(reversed(walk))
-                supply.setdefault(key, []).append(oriented)
-        if not ok:
-            continue
-        routed: list[tuple[int, int, int]] = []  # (pair, s-anchor, t-anchor)
-        for j in pair_indices:
-            p = inst.pairs[j]
-            if j in internal:
-                if j in half_of:
-                    ok = False
-                    break
-                continue
-            halves = half_of.get(j, {})
-            if set(halves) != {p.s, p.t}:
-                ok = False
-                break
-            xa = halves[p.s][1]
-            xb = halves[p.t][1]
-            if xa == xb:
-                ok = False
-                break
-            routed.append((j, xa, xb))
-        if not ok:
-            continue
-        beta = tuple(sorted((key, len(paths)) for key, paths in supply.items()))
-        if any(count > k * k for _, count in beta):
-            continue
+    # (routed pairs, supply) -> (the routing, its paths in demand order)
+    protos: dict[tuple, tuple] = {}
+    hops = [None, *permutations(anchors, 2)]
+    for routing in product(hops, repeat=len(pair_indices)):
+        routed = tuple((j, *hop) for j, hop in zip(pair_indices, routing) if hop)
         if len(routed) > k:
             continue
-        proto_key = (tuple(routed), beta)
-        if proto_key not in protos:
-            protos[proto_key] = (
-                internal,
-                {j: half_of.get(j, {}) for j in pair_indices},
-                supply,
-            )
+        load = dict.fromkeys(anchors, 0)
+        demands: list[tuple[int, int]] = []
+        for j, hop in zip(pair_indices, routing):
+            p = inst.pairs[j]
+            if hop is None:
+                demands.append((local[p.s], local[p.t]))
+            else:
+                demands += [(local[p.s], local[hop[0]]), (local[p.t], local[hop[1]])]
+                load[hop[0]] += 1
+                load[hop[1]] += 1
+        if any(load[a] > room[a] for a in anchors):
+            continue
+        paths = _paths(sub, demands)
+        if paths is None:
+            continue
+        todo = [((0,) * len(keys), 0, load, paths)]
+        while todo:
+            counts, last, load, paths = todo.pop()
+            beta = tuple((key, c) for key, c in zip(keys, counts) if c)
+            protos[(routed, beta)] = (routing, paths)
+            for i in range(last, len(keys)):
+                a, b = keys[i]
+                if counts[i] == k * k or load[a] == room[a] or load[b] == room[b]:
+                    continue
+                raised = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
+                supply = [(local[u], local[v]) for (u, v), c in zip(keys, raised) for _ in range(c)]
+                found = _paths(sub, demands + supply)
+                if found is not None:
+                    todo.append((raised, i, {**load, a: load[a] + 1, b: load[b] + 1}, found))
 
     signature: Signature = {}
-    for (routed, beta), (internal, half_of, supply) in sorted(
-        protos.items(), key=lambda kv: kv[0]
-    ):
+    for (routed, beta), (routing, paths) in sorted(protos.items()):
+        walks = iter([tuple(edge_ids[e] for e in path) for path in paths])
+        internal: dict[int, tuple[int, ...]] = {}
+        halves: dict[int, tuple[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]]] = {}
+        for j, hop in zip(pair_indices, routing):
+            if hop is None:
+                internal[j] = next(walks)
+            else:
+                halves[j] = ((next(walks), hop[0]), (next(walks), hop[1]))
+        supply_paths = {key: [next(walks) for _ in range(c)] for key, c in beta}
+
         options_per_pair: list[list[tuple[int, ...]]] = []
         for _, xa, xb in routed:
             rest = sorted(mod - {xa, xb})
@@ -457,12 +353,9 @@ def component_signature(
             config: Config = (alpha, beta)
             if config not in signature:
                 signature[config] = ComponentWitness(
-                    internal=dict(internal),
-                    halves={
-                        j: (half_of[j][inst.pairs[j].s], half_of[j][inst.pairs[j].t])
-                        for j, _, _ in routed
-                    },
-                    supply={key: list(paths) for key, paths in supply.items()},
+                    internal=internal,
+                    halves=halves,
+                    supply=supply_paths,
                     trace_of={j: chosen[idx] for idx, (j, _, _) in enumerate(routed)},
                 )
     return signature

@@ -3,7 +3,10 @@
 These are deliberately simple backtracking searches with deterministic
 exploration order (lowest edge index first).  They are meant for small
 instances; a node budget turns runaway searches into an explicit
-"budget exceeded" outcome instead of a wrong answer.
+"budget exceeded" outcome instead of a wrong answer.  `_route_all`, the
+search behind them, is edpkit's one search for edge-disjoint paths: it
+also decides the configurations of `fracture`'s components, which are
+small multigraphs, without a budget.
 """
 
 from __future__ import annotations
@@ -24,12 +27,12 @@ class BudgetExceeded(Exception):
 def _route_all(
     g: Multigraph,
     demands: list[tuple[int, int]],
-    budget: int,
+    budget: float,
     directed: bool,
 ) -> list[tuple[int, ...]] | None:
     """Backtracking search for edge-disjoint vertex-simple paths, one per
     demand, routed in order.  Raises BudgetExceeded when the node budget
-    runs out.
+    runs out; a budget of math.inf never runs out.
 
     Exact prunings, none of which can change the verdict:
       - degree-one endpoints are stripped up front (their single edge is
@@ -47,7 +50,7 @@ def _route_all(
     used = [False] * g.m
     chosen: list[tuple[int, ...]] = []
     nodes = 0
-    residual = [g.degree(v) for v in range(g.n + 1)]
+    residual = [len(inc) for inc in g._incident]
 
     # Strip forced chains off the demand endpoints: while an endpoint has a
     # single available edge, every vertex-simple path for the demand must
@@ -135,11 +138,14 @@ def _route_all(
         for v, amount in charge:
             endpoint_need[v] += amount
 
+    # Each edge's parallel class, shared by all its members and filled in
+    # one pass over the edges.
     groups: dict[tuple[int, int], list[int]] = {}
+    parallel_group: list[list[int]] = []
     for idx, (u, v) in enumerate(g.edges):
-        key = (u, v) if directed else (min(u, v), max(u, v))
-        groups.setdefault(key, []).append(idx)
-    parallel_group: list[list[int]] = [groups[(u, v) if directed else (min(u, v), max(u, v))] for u, v in g.edges]
+        twins = groups.setdefault((u, v) if directed or u < v else (v, u), [])
+        twins.append(idx)
+        parallel_group.append(twins)
     # Interchangeable-path ordering compares parallel classes, not raw edge
     # ids, so it composes with the lowest-twin-first rule.
     gmin = [parallel_group[e][0] for e in range(g.m)]
@@ -237,7 +243,7 @@ def _route_all(
                 chosen.pop()
                 return False
             on_path[at] = True
-            for e in sorted(g.incident(at)):
+            for e in g.incident(at):  # increasing edge index already
                 if not usable(e, at):
                     continue
                 next_tied = tied

@@ -3,7 +3,8 @@
 Assigns every component-incident edge a class label (or unused), keeps
 assignments whose classes form paths, and derives the admitted
 configurations directly from the definition.  Structurally different from
-the production contiguous-path enumerator; only usable for small edge sets.
+the production search, which decides each candidate configuration with one
+backtracking path search; only usable for small edge sets.
 """
 
 from __future__ import annotations

@@ -284,6 +284,23 @@ def test_unwritable_solution_path_exits_usage(tmp_path, capsys):
     assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
 
 
+def test_unwritable_solution_file_does_not_stop_the_next_file(tmp_path, capsys):
+    # a.edp.sol is a directory: a.edp exits 64 with a summary, and b.edp is
+    # still solved and its solution written.
+    a = write(tmp_path, "a.edp", P4)
+    b = write(tmp_path, "b.edp", P4)
+    (tmp_path / "a.edp.sol").mkdir()
+    assert main(["solve", str(a), str(b)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "a.edp.sol" in captured.err
+    assert "Traceback" not in captured.err
+    summaries = captured.out.splitlines()
+    assert len(summaries) == 2
+    assert summaries[0].startswith(f"{a}: s yes") and "solution not written" in summaries[0]
+    assert summaries[1].startswith(f"{b}: s yes")
+    assert main(["verify", str(b), str(tmp_path / "b.edp.sol")]) == EXIT_YES
+
+
 def test_forest_solve_does_not_import_networkx(tmp_path):
     # networkx is imported by the first matching call, and a path needs none.
     inst = write(tmp_path, "p4.edp", P4)

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import networkx as nx
@@ -390,3 +391,22 @@ def test_atlas_sample_agreement():
             exact = find_fracture_modulator(g, k, "exact")
             truth = exhaustive_fracture_number(g, k)
             assert (exact is None) == (truth is None)
+
+
+def test_dense_components_agree_with_brute_force():
+    """Dense 9-vertex instances: components with up to 19 incident edges,
+    beyond the labelling oracle's reach and the property's modulators of
+    at most 3.  Every answer that is not a refusal agrees with brute force."""
+    rng = random.Random(7)
+    answered = 0
+    for _ in range(25):
+        edges = rng.sample(list(combinations(range(1, 10), 2)), 24)
+        inst = EdpInstance(Multigraph(9, edges), (TerminalPair(*rng.sample(range(1, 10), 2)),))
+        got = solve_fracture(inst, 4)
+        if got.status == "modulator-exceeded":
+            continue
+        answered += 1
+        assert got.status == brute_force_edp(inst).status, (edges, inst.pairs)
+        if got.is_yes:
+            assert verify_solution(inst, got.paths).ok
+    assert answered >= 10
