@@ -14,14 +14,18 @@ covered by the supplied connecting paths.  A component has at most |X|
 vertices, so the configurations it admits are decided inside it: each
 candidate routing of its pairs and supply of modulator-to-modulator paths
 is one call of the path search `oracle._route_all` on the multigraph of the
-component and the modulator vertices next to it.  Feasible selections are
-turned back into explicit edge-disjoint paths from the paths found there.
+component and the modulator vertices next to it.  That set depends only on
+the component's shape (that multigraph and its pairs' ends) and k, so one
+solve decides each shape once and reuses it for every component of that
+shape.  Only the configuration selected for a component gets a witness,
+whose paths become explicit edge-disjoint paths of the instance.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
@@ -244,7 +248,92 @@ class ComponentWitness:
     trace_of: dict[int, tuple[int, ...]]  # pair -> trace from s-anchor to t-anchor
 
 
-Signature = dict[Config, ComponentWitness]
+# A component shape: (n, number of anchors, local edges, local pair ends).
+# The component's vertices in sorted order, then its anchors in sorted
+# order, are numbered 1..n; edges are in edge-index order, pairs in
+# pair-index order.
+Shape = tuple[int, int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
+# A routing and supply vector a shape admits, anchors as positions 0..a-1
+# and pairs as positions in the shape: (routed pairs, supply, the routing,
+# its paths in demand order as local edge indices).
+Proto = tuple[tuple, tuple, tuple, list[tuple[int, ...]]]
+
+
+class SignatureMemo:
+    """What one solve learns about its components, decided once per shape.
+
+    The configurations a component admits depend only on its shape and k,
+    so the shape's protos are searched once, its configurations are made
+    once per set of anchors, and the trace options once per anchor pair.
+    A memo belongs to one instance and one modulator: build a fresh one
+    for every solve."""
+
+    def __init__(self, inst: EdpInstance, x: FractureModulator):
+        self.mod = x.vertices
+        self.pairs_at: dict[int, list[int]] = {}
+        for j, p in enumerate(inst.pairs):
+            for v in p.members():
+                self.pairs_at.setdefault(v, []).append(j)
+        self.protos: dict[Shape, list[Proto]] = {}
+        self.configs: dict[tuple[Shape, tuple[int, ...]], dict[Config, tuple[int, tuple[Trace, ...]]]] = {}
+        self.traces: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+
+    def trace_options(self, xa: int, xb: int) -> list[tuple[int, ...]]:
+        """Every sequence of distinct modulator vertices from xa to xb."""
+        opts = self.traces.get((xa, xb))
+        if opts is None:
+            rest = sorted(self.mod - {xa, xb})
+            opts = [(xa, *mid, xb) for r in range(len(rest) + 1) for mid in permutations(rest, r)]
+            self.traces[(xa, xb)] = opts
+        return opts
+
+
+class Signature(Mapping[Config, ComponentWitness]):
+    """The configurations one component admits, in search order.  Each
+    keeps its proto and chosen traces only; looking a configuration up
+    builds its witness in the component's own edges and pairs."""
+
+    def __init__(
+        self,
+        configs: dict[Config, tuple[int, tuple[Trace, ...]]],
+        protos: list[Proto],
+        edge_ids: list[int],
+        pair_indices: list[int],
+        anchors: tuple[int, ...],
+    ):
+        self._configs = configs
+        self._protos = protos
+        self._edge_ids = edge_ids
+        self._pair_indices = pair_indices
+        self._anchors = anchors
+
+    def __len__(self) -> int:
+        return len(self._configs)
+
+    def __iter__(self):
+        return iter(self._configs)
+
+    def __contains__(self, config: object) -> bool:
+        return config in self._configs
+
+    def __getitem__(self, config: Config) -> ComponentWitness:
+        proto, chosen = self._configs[config]
+        routed, beta, routing, paths = self._protos[proto]
+        edge_ids, pair_indices, anchors = self._edge_ids, self._pair_indices, self._anchors
+        walks = iter([tuple(edge_ids[e] for e in path) for path in paths])
+        internal: dict[int, tuple[int, ...]] = {}
+        halves: dict[int, tuple[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]]] = {}
+        for j, hop in zip(pair_indices, routing):
+            if hop is None:
+                internal[j] = next(walks)
+            else:
+                halves[j] = ((next(walks), anchors[hop[0]]), (next(walks), anchors[hop[1]]))
+        return ComponentWitness(
+            internal=internal,
+            halves=halves,
+            supply={(anchors[a], anchors[b]): [next(walks) for _ in range(c)] for (a, b), c in beta},
+            trace_of={pair_indices[i]: trace for (i, _, _), trace in zip(routed, chosen)},
+        )
 
 
 def _paths(g: Multigraph, demands: list[tuple[int, int]]) -> list[tuple[int, ...]] | None:
@@ -254,58 +343,38 @@ def _paths(g: Multigraph, demands: list[tuple[int, int]]) -> list[tuple[int, ...
     return _route_all(g, demands, math.inf, directed=False) if demands else []
 
 
-def component_signature(
-    inst: EdpInstance,
-    comp: set[int],
-    x: FractureModulator,
-) -> Signature:
-    """The exact set of configurations the component admits, each with one
-    stored witness.
+def _shape_protos(shape: Shape, k: int) -> list[Proto]:
+    """Every routing and supply vector the shape admits, with its paths,
+    sorted by (routed pairs, supply).
 
-    The search runs on the component's own multigraph: the component and
-    the modulator vertices next to it (its anchors), relabelled 1..n.  A
-    routing joins each pair of the component either inside it or through
-    two distinct anchors, one per terminal, with at most k pairs routed
-    through anchors.  For each routing the supply vector (how many paths
-    join each two anchors, at most k^2) is counted up from zero: a vector
-    is tried once, from the vector whose last raised count is one lower,
-    and only when that vector was realizable, since lowering a count keeps
-    a vector realizable.  One `_route_all` call decides each try, and its
-    paths are the witness.  Every admissible trace choice of the routed
-    pairs is then expanded into a configuration."""
-    g = inst.g
-    mod = x.vertices
-    k = len(mod)
-    edge_ids = sorted({e for v in comp for e in g.incident(v)})
-    anchors = sorted({w for e in edge_ids for w in g.edges[e] if w in mod})
-    local = {v: i for i, v in enumerate(sorted(comp) + anchors, start=1)}
-    sub = Multigraph._from_checked(len(local), [(local[u], local[v]) for u, v in (g.edges[e] for e in edge_ids)])
-    room = {a: sub.degree(local[a]) for a in anchors}
-    keys = list(combinations(anchors, 2))
-    pair_indices = sorted(
-        j for j, p in enumerate(inst.pairs) if set(p.members()) & comp
-    )
-    for j in pair_indices:
-        assert set(inst.pairs[j].members()) <= comp, "pair split across components"
-
-    # (routed pairs, supply) -> (the routing, its paths in demand order)
-    protos: dict[tuple, tuple] = {}
-    hops = [None, *permutations(anchors, 2)]
-    for routing in product(hops, repeat=len(pair_indices)):
-        routed = tuple((j, *hop) for j, hop in zip(pair_indices, routing) if hop)
+    A routing joins each pair either inside the shape or through two
+    distinct anchors, one per terminal, with at most k pairs routed through
+    anchors.  For each routing the supply vector (how many paths join each
+    two anchors, at most k^2) is counted up from zero: a vector is tried
+    once, from the vector whose last raised count is one lower, and only
+    when that vector was realizable, since lowering a count keeps a vector
+    realizable.  One `_route_all` call decides each try."""
+    n, a, edges, ends = shape
+    sub = Multigraph._from_checked(n, edges)
+    first = n - a + 1  # the local number of anchor 0
+    room = [sub.degree(first + i) for i in range(a)]
+    keys = list(combinations(range(a), 2))
+    found: dict[tuple, tuple] = {}
+    hops = [None, *permutations(range(a), 2)]
+    for routing in product(hops, repeat=len(ends)):
+        routed = tuple((i, *hop) for i, hop in enumerate(routing) if hop)
         if len(routed) > k:
             continue
-        load = dict.fromkeys(anchors, 0)
+        load = [0] * a
         demands: list[tuple[int, int]] = []
-        for j, hop in zip(pair_indices, routing):
-            p = inst.pairs[j]
+        for (s, t), hop in zip(ends, routing):
             if hop is None:
-                demands.append((local[p.s], local[p.t]))
+                demands.append((s, t))
             else:
-                demands += [(local[p.s], local[hop[0]]), (local[p.t], local[hop[1]])]
+                demands += [(s, first + hop[0]), (t, first + hop[1])]
                 load[hop[0]] += 1
                 load[hop[1]] += 1
-        if any(load[a] > room[a] for a in anchors):
+        if any(load[i] > room[i] for i in range(a)):
             continue
         paths = _paths(sub, demands)
         if paths is None:
@@ -314,51 +383,78 @@ def component_signature(
         while todo:
             counts, last, load, paths = todo.pop()
             beta = tuple((key, c) for key, c in zip(keys, counts) if c)
-            protos[(routed, beta)] = (routing, paths)
+            found[(routed, beta)] = (routing, paths)
             for i in range(last, len(keys)):
-                a, b = keys[i]
-                if counts[i] == k * k or load[a] == room[a] or load[b] == room[b]:
+                u, v = keys[i]
+                if counts[i] == k * k or load[u] == room[u] or load[v] == room[v]:
                     continue
                 raised = counts[:i] + (counts[i] + 1,) + counts[i + 1 :]
-                supply = [(local[u], local[v]) for (u, v), c in zip(keys, raised) for _ in range(c)]
-                found = _paths(sub, demands + supply)
-                if found is not None:
-                    todo.append((raised, i, {**load, a: load[a] + 1, b: load[b] + 1}, found))
+                supply = [(first + u, first + v) for (u, v), c in zip(keys, raised) for _ in range(c)]
+                more = _paths(sub, demands + supply)
+                if more is not None:
+                    grown = list(load)
+                    grown[u] += 1
+                    grown[v] += 1
+                    todo.append((raised, i, grown, more))
+    return [(routed, beta, routing, paths) for (routed, beta), (routing, paths) in sorted(found.items())]
 
-    signature: Signature = {}
-    for (routed, beta), (routing, paths) in sorted(protos.items()):
-        walks = iter([tuple(edge_ids[e] for e in path) for path in paths])
-        internal: dict[int, tuple[int, ...]] = {}
-        halves: dict[int, tuple[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]]] = {}
-        for j, hop in zip(pair_indices, routing):
-            if hop is None:
-                internal[j] = next(walks)
-            else:
-                halves[j] = ((next(walks), hop[0]), (next(walks), hop[1]))
-        supply_paths = {key: [next(walks) for _ in range(c)] for key, c in beta}
 
-        options_per_pair: list[list[tuple[int, ...]]] = []
-        for _, xa, xb in routed:
-            rest = sorted(mod - {xa, xb})
-            opts = []
-            for r in range(0, len(rest) + 1):
-                for mid in permutations(rest, r):
-                    seq = (xa, *mid, xb)
-                    if len(seq) <= k:
-                        opts.append(seq)
-            options_per_pair.append(opts)
-
-        for chosen in product(*options_per_pair):
+def _configurations(
+    protos: list[Proto], anchors: tuple[int, ...], memo: SignatureMemo
+) -> dict[Config, tuple[int, tuple[Trace, ...]]]:
+    """Every configuration of the protos on these anchors, in proto order,
+    each with the first proto and traces that give it: every trace choice
+    of the routed pairs is expanded."""
+    configs: dict[Config, tuple[int, tuple[Trace, ...]]] = {}
+    for proto, (routed, beta, _, _) in enumerate(protos):
+        supply = tuple(((anchors[a], anchors[b]), c) for (a, b), c in beta)
+        options = [memo.trace_options(anchors[xa], anchors[xb]) for _, xa, xb in routed]
+        for chosen in product(*options):
             alpha = tuple(sorted(canonical_trace(t) for t in chosen))
-            config: Config = (alpha, beta)
-            if config not in signature:
-                signature[config] = ComponentWitness(
-                    internal=internal,
-                    halves=halves,
-                    supply=supply_paths,
-                    trace_of={j: chosen[idx] for idx, (j, _, _) in enumerate(routed)},
-                )
-    return signature
+            configs.setdefault((alpha, supply), (proto, chosen))
+    return configs
+
+
+def component_signature(
+    inst: EdpInstance,
+    comp: set[int],
+    x: FractureModulator,
+    memo: SignatureMemo | None = None,
+) -> Signature:
+    """The exact set of configurations the component admits, each with one
+    witness.
+
+    The search runs on the component's shape: the component and the
+    modulator vertices next to it (its anchors), relabelled 1..n, with the
+    ends of its pairs (see `_shape_protos`).  A shared `memo`, built for
+    this instance and modulator, decides each shape once: components of
+    one shape reuse its protos, and of one shape and anchors its
+    configurations.  Without a memo the component is decided alone."""
+    if memo is None:
+        memo = SignatureMemo(inst, x)
+    g = inst.g
+    edge_ids = sorted({e for v in comp for e in g.incident(v)})
+    anchors = tuple(sorted({w for e in edge_ids for w in g.edges[e] if w in memo.mod}))
+    local = {v: i for i, v in enumerate([*sorted(comp), *anchors], start=1)}
+    pair_indices = sorted({j for v in comp for j in memo.pairs_at.get(v, ())})
+    ends = []
+    for j in pair_indices:
+        p = inst.pairs[j]
+        assert p.s in comp and p.t in comp, "pair split across components"
+        ends.append((local[p.s], local[p.t]))
+    shape = (
+        len(local),
+        len(anchors),
+        tuple((local[u], local[v]) for u, v in (g.edges[e] for e in edge_ids)),
+        tuple(ends),
+    )
+    protos = memo.protos.get(shape)
+    if protos is None:
+        protos = memo.protos[shape] = _shape_protos(shape, len(memo.mod))
+    configs = memo.configs.get((shape, anchors))
+    if configs is None:
+        configs = memo.configs[(shape, anchors)] = _configurations(protos, anchors, memo)
+    return Signature(configs, protos, edge_ids, pair_indices, anchors)
 
 
 def config_demand(config: Config, a: int, b: int) -> int:
@@ -403,10 +499,6 @@ def _net_demand(config: Config) -> Counter[tuple[int, int]]:
     return net
 
 
-def signature_class_key(sig: Signature) -> str:
-    return repr(sorted(sig.keys()))
-
-
 def build_selector_program(
     signatures: list[Signature], x: FractureModulator
 ) -> SelectorProgram:
@@ -416,9 +508,10 @@ def build_selector_program(
     class_members: dict[str, list[int]] = {}
     class_configs: dict[str, list[Config]] = {}
     for cid, sig in enumerate(signatures):
-        key = signature_class_key(sig)
+        configs = sorted(sig)
+        key = repr(configs)
         class_members.setdefault(key, []).append(cid)
-        class_configs.setdefault(key, sorted(sig.keys()))
+        class_configs.setdefault(key, configs)
     variables: list[tuple[str, Config]] = []
     for key in sorted(class_members):
         for config in class_configs[key]:
@@ -489,7 +582,8 @@ def solve_fracture(inst: EdpInstance, kmax: int) -> SolveResult:
     prep, x, edge_map = prepare_fracture(work, x)
     paug = augmented_graph(prep)
     comps = sorted(components_excluding(paug, x.vertices), key=min)
-    signatures = [component_signature(prep, comp, x) for comp in comps]
+    memo = SignatureMemo(prep, x)
+    signatures = [component_signature(prep, comp, x, memo) for comp in comps]
     selector = build_selector_program(signatures, x)
     assignment = solve_feasibility(selector.program)
     if assignment is None:
@@ -503,24 +597,22 @@ def solve_fracture(inst: EdpInstance, kmax: int) -> SolveResult:
         for _ in range(count):
             chosen[next(members[key])] = cfg
 
-    # Pool the supply paths of every selected witness.
-    pools: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    witnesses: dict[int, ComponentWitness] = {}
-    for cid in range(len(comps)):
-        wit = signatures[cid][chosen[cid]]
-        witnesses[cid] = wit
+    # Build each component's witness of its chosen configuration only, and
+    # pool the supply paths of them all.
+    witnesses = [sig[chosen[cid]] for cid, sig in enumerate(signatures)]
+    pools: dict[tuple[int, int], deque[tuple[int, ...]]] = {}
+    for wit in witnesses:
         for key, paths in sorted(wit.supply.items()):
-            pools.setdefault(key, []).extend(paths)
+            pools.setdefault(key, deque()).extend(paths)
 
     def take_supply(u: int, v: int) -> tuple[int, ...]:
         key = (u, v) if u < v else (v, u)
         assert pools.get(key), f"supply exhausted for {key}"
-        path = pools[key].pop(0)
+        path = pools[key].popleft()
         return path if key[0] == u else tuple(reversed(path))
 
     walks: dict[int, tuple[int, ...]] = {}
-    for cid in range(len(comps)):
-        wit = witnesses[cid]
+    for wit in witnesses:
         for j, edges in sorted(wit.internal.items()):
             walks[j] = edges
         for j in sorted(wit.trace_of):

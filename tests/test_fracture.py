@@ -6,8 +6,10 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
+from edpkit import fracture
 from edpkit.fracture import (
     FractureModulator,
+    SignatureMemo,
     build_selector_program,
     component_signature,
     config_demand,
@@ -226,6 +228,106 @@ def test_signature_matches_labeling_oracle(rng):
             assert got == want, (prep.g.edges, comp, x0)
             checked += 1
     assert checked >= 40
+
+
+def repeated_template_instance(rng):
+    """A normalized instance of 4-8 copies of one or two small component
+    templates hung on the modulator vertices 1..m (m = 2 or 3), each
+    component of at most m vertices, and that modulator.  A copy takes its
+    anchors in one of two orders and names its pair (s, t) or (t, s), so
+    copies share a shape or differ from one only in their pair ends."""
+    m = rng.choice((2, 3))
+
+    def template():
+        size = rng.randint(1, m)
+        paired = size >= 2 and rng.random() < 0.7
+        core = size - 2 if paired else size
+        edges = [(("c", i), ("c", j)) for i in range(core) for j in range(i + 1, core) for _ in range(rng.randint(0, 2))]
+        for i in range(core):
+            edges += [(("c", i), ("a", rng.randrange(m))) for _ in range(rng.randint(1, 2))]
+        if paired:
+            hang = [("c", i) for i in range(core)] + [("a", i) for i in range(m)]
+            edges += [(("s",), rng.choice(hang)), (("t",), rng.choice(hang))]
+        return core, paired, edges
+
+    templates = [template() for _ in range(rng.randint(1, 2))]
+    orders = [list(range(1, m + 1)), rng.sample(range(1, m + 1), m)]
+    n, edges, pairs = m, [], []
+    for _ in range(rng.randint(4, 8)):
+        core, paired, shape = rng.choice(templates)
+        names = {("a", i): v for i, v in enumerate(rng.choice(orders))}
+        names.update({("c", i): n + 1 + i for i in range(core)})
+        n += core
+        if paired:
+            names[("s",)], names[("t",)] = n + 1, n + 2
+            n += 2
+            pairs.append(TerminalPair(n - 1, n) if rng.random() < 0.5 else TerminalPair(n, n - 1))
+        edges += [(names[u], names[v]) for u, v in shape]
+    inst = EdpInstance(Multigraph(n, edges), tuple(pairs))
+    assert inst.normalized
+    return inst, FractureModulator(frozenset(range(1, m + 1)))
+
+
+def test_shared_memo_matches_memo_free_signatures(rng):
+    """Components decided through one shared memo get the configurations,
+    in the same order, and the witnesses that each gets alone."""
+    reused = 0
+    for _ in range(40):
+        inst, x = repeated_template_instance(rng)
+        comps = sorted(components_excluding(augmented_graph(inst), x.vertices), key=min)
+        memo = SignatureMemo(inst, x)
+        for comp in comps:
+            shared = component_signature(inst, comp, x, memo)
+            alone = component_signature(inst, comp, x)
+            assert list(shared) == list(alone), (inst.g.edges, inst.pairs, comp)
+            assert all(shared[c] == alone[c] for c in alone), (inst.g.edges, inst.pairs, comp)
+        reused += len(comps) - len(memo.protos)
+        got = solve_fracture(inst, 3)
+        assert got.status == brute_force_edp(inst).status, (inst.g.edges, inst.pairs)
+        if got.is_yes:
+            assert verify_solution(inst, got.paths).ok
+    assert reused >= 100
+
+
+def hub_instance(copies):
+    """Hubs 1..4 and `copies` components of each of eight kinds: supply
+    chains of 1-3 vertices between two hubs, and pair components a, b, s, t
+    with the leaves s on a and t on b, a and b on one or two hubs, one
+    kind with the edge a-b.  A "yes" instance."""
+    n, edges, pairs = 4, [], []
+    for _ in range(copies):
+        for u, v, length in ((1, 2, 1), (3, 4, 2), (1, 3, 3), (2, 4, 1)):
+            walk = [u, *range(n + 1, n + 1 + length), v]
+            n += length
+            edges += zip(walk, walk[1:])
+        for ha, hb, linked in ((1, 2, True), (3, 4, False), (2, 2, False), (4, 1, False)):
+            a, b, s, t = n + 1, n + 2, n + 3, n + 4
+            n += 4
+            edges += [(a, ha), (b, hb), (s, a), (t, b)] + [(a, b)] * linked
+            pairs.append(TerminalPair(s, t))
+    return EdpInstance(Multigraph(n, edges), tuple(pairs))
+
+
+def test_path_searches_do_not_grow_with_repeated_components(monkeypatch):
+    """Components of one shape are searched once per solve, and nothing
+    of a solve is kept for the next one."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return route_all(*args, **kwargs)
+
+    route_all = fracture._route_all
+    monkeypatch.setattr(fracture, "_route_all", counted)
+    counts = []
+    for inst in (hub_instance(3), hub_instance(12), hub_instance(12)):
+        calls.clear()
+        got = solve_fracture(inst, 4)
+        assert got.is_yes and verify_solution(inst, got.paths).ok
+        counts.append(len(calls))
+    assert counts[0] > 0
+    assert counts[1] == counts[0], counts
+    assert counts[2] == counts[1], counts
 
 
 def test_selector_program_examples():
