@@ -6,12 +6,14 @@ instances; a node budget turns runaway searches into an explicit
 "budget exceeded" outcome instead of a wrong answer.  `_route_all`, the
 search behind them, is edpkit's one search for edge-disjoint paths: it
 also decides the configurations of `fracture`'s components, which are
-small multigraphs, without a budget.
+small multigraphs, without a budget.  It routes the demands in order,
+each by a generator of its paths that walks an explicit stack, so the
+search does not recurse and a path of any length fits in it.
 """
 
 from __future__ import annotations
 
-import sys
+from collections.abc import Iterator
 from itertools import combinations
 
 from edpkit.graph import Multigraph, components_excluding
@@ -34,6 +36,13 @@ def _route_all(
     demand, routed in order.  Raises BudgetExceeded when the node budget
     runs out; a budget of math.inf never runs out.
 
+    Each demand has a generator that yields its paths one at a time, lowest
+    edge index first, from an explicit stack of (vertex, incidence
+    iterator, tied) frames; a yielded path keeps its edges used until the
+    generator is resumed.  A stack of these generators backtracks across
+    demands: when a demand's paths run out, the search resumes the demand
+    before it.  Every vertex a path enters is one search node.
+
     Exact prunings, none of which can change the verdict:
       - degree-one endpoints are stripped up front (their single edge is
         forced), so demands whose remaining interior endpoints coincide
@@ -48,69 +57,51 @@ def _route_all(
         charge cuts the branch.
     """
     used = [False] * g.m
-    chosen: list[tuple[int, ...]] = []
     nodes = 0
     residual = [len(inc) for inc in g._incident]
 
-    # Strip forced chains off the demand endpoints: while an endpoint has a
-    # single available edge, every vertex-simple path for the demand must
-    # start with it, so it can be consumed up front.  A chain that runs out
-    # of edges or into itself proves the demand (hence the instance)
-    # infeasible.
+    def strip(end: int, goal: int, as_tail: bool, seen: set[int]) -> tuple[int | None, list[int]]:
+        """Consume the forced chain off `end`: while it has a single
+        available edge, every vertex-simple path for the demand must use
+        it.  Returns the new end and the chain, or None for the end when
+        the chain runs into the path's own vertices, which proves the
+        demand (hence the instance) infeasible."""
+        chain: list[int] = []
+        while end != goal:
+            avail = [
+                e
+                for e in g.incident(end)
+                if not used[e]
+                and (not directed or g.edges[e][0 if as_tail else 1] == end)
+            ]
+            if len(avail) != 1:
+                break
+            e = avail[0]
+            w = g.other_end(e, end)
+            if w in seen and w != goal:
+                return None, chain
+            used[e] = True
+            residual[end] -= 1
+            residual[w] -= 1
+            chain.append(e)
+            end = w
+            seen.add(w)
+        return end, chain
+
     prefix: list[tuple[int, ...]] = []
     suffix: list[tuple[int, ...]] = []
     interior: list[tuple[int, int]] = []
-
-    def forced_step(v: int, as_tail: bool) -> int | None:
-        avail = [
-            e
-            for e in g.incident(v)
-            if not used[e]
-            and (not directed or g.edges[e][0 if as_tail else 1] == v)
-        ]
-        return avail[0] if len(avail) == 1 else None
-
     for s, t in demands:
-        pre: list[int] = []
-        post: list[int] = []
         seen = {s, t}
-        dead = False
-        while s != t:
-            e = forced_step(s, as_tail=True)
-            if e is None:
-                break
-            w = g.other_end(e, s)
-            if w in seen and w != t:
-                dead = True
-                break
-            used[e] = True
-            residual[s] -= 1
-            residual[w] -= 1
-            pre.append(e)
-            s = w
-            seen.add(w)
-        while not dead and s != t:
-            e = forced_step(t, as_tail=False)
-            if e is None:
-                break
-            w = g.other_end(e, t)
-            if w in seen and w != s:
-                dead = True
-                break
-            used[e] = True
-            residual[t] -= 1
-            residual[w] -= 1
-            post.append(e)
-            t = w
-            seen.add(w)
-        if dead:
+        s, pre = strip(s, t, True, seen)
+        if s is None:
+            return None
+        t, post = strip(t, s, False, seen)
+        if t is None:
             return None
         prefix.append(tuple(pre))
         suffix.append(tuple(reversed(post)))
         interior.append((s, t))
-    symmetric = [
-        i > 0 and interior[i] == interior[i - 1] for i in range(len(interior))
-    ]
 
     # Remaining per-vertex edge charges: lower bounds on the edges every
     # unrouted demand must still consume at a vertex.
@@ -196,8 +187,6 @@ def _route_all(
                 if used[e]:
                     continue
                 w = g.other_end(e, v)
-                if w == v:
-                    continue
                 if residual[w] >= 2 or endpoint_need[w] > 0:
                     live += 1
                     if live >= need:
@@ -206,48 +195,40 @@ def _route_all(
                 return False
         return True
 
-    def route(i: int) -> bool:
+    def enter() -> None:
         nonlocal nodes
-        if i == len(demands):
-            return True
-        s, t = interior[i]
-        if not symmetric[i] and not blocks_viable():
-            return False
-        floor: tuple[int, ...] | None = None
-        if symmetric[i]:
-            floor = tuple(gmin[e] for e in chosen[-1])
-        if s == t:
-            chosen.append(())
-            if route(i + 1):
-                return True
-            chosen.pop()
-            return False
-        on_path = [False] * (g.n + 1)
-        walk: list[int] = []
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded
 
-        def extend(at: int, tied: bool) -> bool:
-            # `tied` means the walk matches the floor class-sequence so far,
-            # in which case the next edge may not drop below the floor's
-            # next class.
-            nonlocal nodes
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded
-            if at == t and walk:
-                # A vertex-simple path ends the first time it reaches t.
-                if tied and floor is not None and len(walk) < len(floor):
-                    return False
-                chosen.append(tuple(walk))
-                if route(i + 1):
-                    return True
-                chosen.pop()
-                return False
-            on_path[at] = True
-            for e in g.incident(at):  # increasing edge index already
+    def paths(i: int, floor: tuple[int, ...] | None) -> Iterator[tuple[int, ...]]:
+        """Demand i's paths, each yielded with its edges used.  With a
+        floor (the previous, identical demand's class sequence), a path
+        whose class sequence is below it is skipped; `tied` marks a walk
+        that matches the floor so far, so its next edge may not drop below
+        the floor's next class."""
+        s, t = interior[i]
+        if floor is None and not blocks_viable():
+            return
+        if s == t:
+            yield ()
+            return
+        # The current path provides its own charges; only later demands
+        # stay charged during its routing.
+        for v, amount in charges[i]:
+            endpoint_need[v] -= amount
+        enter()
+        on_path = [False] * (g.n + 1)
+        on_path[s] = True
+        walk: list[int] = []
+        stack = [(s, iter(g.incident(s)), floor is not None)]
+        while stack:
+            at, edges, tied = stack[-1]
+            for e in edges:  # increasing edge index already
                 if not usable(e, at):
                     continue
                 next_tied = tied
-                if tied and floor is not None:
+                if tied:
                     bound = floor[len(walk)] if len(walk) < len(floor) else -1
                     if gmin[e] < bound:
                         continue
@@ -255,43 +236,44 @@ def _route_all(
                 w = g.other_end(e, at)
                 if on_path[w]:
                     continue
-                feasible = consume(e)
-                if feasible:
-                    walk.append(e)
-                    if extend(w, next_tied):
-                        return True
-                    walk.pop()
+                if not consume(e):
+                    release(e)
+                    continue
+                walk.append(e)
+                enter()
+                if w != t:
+                    on_path[w] = True
+                    stack.append((w, iter(g.incident(w)), next_tied))
+                    break
+                # A vertex-simple path ends the first time it reaches t.
+                if not (next_tied and len(walk) < len(floor)):
+                    yield tuple(walk)
+                walk.pop()
                 release(e)
-            on_path[at] = False
-            return False
-
-        # The current path provides its own charges; only later demands
-        # stay charged during its routing.
-        for v, amount in charges[i]:
-            endpoint_need[v] -= amount
-        try:
-            if extend(s, floor is not None):
-                return True
-        finally:
-            del extend  # extend reaches itself through its own cell
+            else:  # every edge at `at` tried: back up one edge
+                stack.pop()
+                on_path[at] = False
+                if walk:
+                    release(walk.pop())
         for v, amount in charges[i]:
             endpoint_need[v] += amount
-        return False
 
-    # The search recurses once per path edge; the limit is restored so that
-    # one large instance does not change it for the rest of the process.
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10000 + 10 * (g.m + len(demands))))
-    try:
-        found = route(0)
-    finally:
-        sys.setrecursionlimit(old_limit)
-        # route reaches itself through its own cell; dropping the name
-        # frees the closures by reference counting, with no cycle left.
-        del route
-    if found:
-        return [prefix[i] + chosen[i] + suffix[i] for i in range(len(demands))]
-    return None
+    chosen: list[tuple[int, ...]] = []
+    searches: list[Iterator[tuple[int, ...]]] = []
+    while len(chosen) < len(demands):
+        if len(searches) == len(chosen):
+            i = len(chosen)
+            twin = i > 0 and interior[i] == interior[i - 1]
+            searches.append(paths(i, tuple(gmin[e] for e in chosen[-1]) if twin else None))
+        path = next(searches[-1], None)
+        if path is not None:
+            chosen.append(path)
+        elif chosen:
+            searches.pop()
+            chosen.pop()
+        else:
+            return None
+    return [prefix[i] + chosen[i] + suffix[i] for i in range(len(demands))]
 
 
 def brute_force_edp(inst: EdpInstance, budget: int = DEFAULT_BUDGET) -> SolveResult:
@@ -322,19 +304,17 @@ def brute_force_multi(inst: MultiDemandInstance, budget: int = DEFAULT_BUDGET) -
             out_need[s] = out_need.get(s, 0) + n
             in_need[t] = in_need.get(t, 0) + n
         demands.extend((s, t) for _ in range(n))
-    # Counting precheck: n_i edge-disjoint paths leave s_i over distinct
-    # incident edges (arcs when directed), so aggregated endpoint demand at
-    # a vertex may not exceed its capacity.
+    # Counting precheck for directed instances only: n_i arc-disjoint paths
+    # leave s_i over distinct out-arcs and enter t_i over distinct in-arcs.
+    # The search's edge charges count a vertex's arcs in both directions,
+    # so they miss this; on undirected instances they refute an endpoint
+    # of too low degree before the first search node.
     g = inst.g
     if g.directed:
         if any(g.out_degree(v) < need for v, need in out_need.items()):
             return SolveResult("no")
         if any(g.in_degree(v) < need for v, need in in_need.items()):
             return SolveResult("no")
-    else:
-        for v in set(out_need) | set(in_need):
-            if g.degree(v) < out_need.get(v, 0) + in_need.get(v, 0):
-                return SolveResult("no")
     try:
         paths = _route_all(inst.g, demands, budget, directed=inst.g.directed)
     except BudgetExceeded:

@@ -382,17 +382,13 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
             idx = emit("introduce", frozenset(cur), (idx,), v)
         return idx
 
-    def close(i: int, built: list[int]) -> int:
-        """Emit node i's own nodes once its children's chains are built."""
+    def close(i: int, built: list[int]) -> int | None:
+        """Emit node i's own nodes once its children's chains are built;
+        None when its bag is empty and nothing is built below it, since
+        such a subtree holds no vertex."""
         bag = td.bags[i]
         if not built:
-            if not bag:
-                # An empty original leaf: start anywhere and forget again so
-                # the chain tops out at the recorded (empty) bag.
-                w = _any_vertex(td)
-                idx = start_leaf(frozenset({w}))
-                return emit("forget", frozenset(), (idx,), w)
-            return start_leaf(bag)
+            return start_leaf(bag) if bag else None
         while len(built) > 1:
             a = built.pop()
             b = built.pop()
@@ -415,14 +411,10 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
         top = close(i, built)
         if not stack:
             break
-        parent = stack[-1][0]
-        stack[-1][2].append(chain_to(td.bags[i], td.bags[parent], top))
+        if top is not None:
+            parent = stack[-1][0]
+            stack[-1][2].append(chain_to(td.bags[i], td.bags[parent], top))
+    if top is None:
+        raise ValueError("decomposition covers no vertices")
     chain_to(td.bags[root], frozenset(), top)
     return NiceTreeDecomposition(nodes)
-
-
-def _any_vertex(td: TreeDecomposition) -> int:
-    for bag in td.bags:
-        if bag:
-            return min(bag)
-    raise ValueError("decomposition covers no vertices")

@@ -19,7 +19,8 @@ some walk family realizes is stored unless a stored record dominates it
 (below).  The degree bound caps multiplicities: a bag vertex of degree d
 meets at most d walks.
 
-  - Introduce adds the trivial (v, v) walk of a terminal v.
+  - Introduce adds the trivial (v, v) walk of a terminal v.  An introduced
+    non-terminal is no walk end, so that node shares its child's table.
   - Forget offers v's edges to the bag one at a time, with one
     deduplicated set of endpoint states per edge, shared by all child
     records of the forget node: the edge stays unused, starts a walk,
@@ -33,9 +34,11 @@ meets at most d walks.
     edges of that child's subgraph, and their concatenation was already
     offered where the later of those edges was added (a forget joins two
     walks through an edge) or at a lower join, so a same-side glue adds no
-    record.  A terminal's trivial walk matches either side: kept once when
-    both children carry it, and replaced by the other child's walk from
-    that terminal when only one does.
+    record.  A terminal's one edge is offered at one forget only, so at
+    most one child has a walk from it beyond the trivial one.  Its trivial
+    walk matches either side: kept once when both children carry it, and
+    replaced by the other child's walk from that terminal when only one
+    does.
 
 Antichain tables.  Once a node's candidates are all offered, every record
 whose give is a strict sub-multiset of the give of another record with the
@@ -186,13 +189,11 @@ class Table:
         if rec is not None and rec not in self.records:
             self.records[rec] = state
 
-    def settle(self, prune: bool = True) -> None:
-        """Keep the records whose give is maximal (all of them unless
-        `prune`), and build their walks."""
+    def settle(self) -> None:
+        """Keep the records whose give is maximal, and build their walks."""
         records = self.records
-        if prune:
-            for rec in _dominated(records):
-                del records[rec]
+        for rec in _dominated(records):
+            del records[rec]
         for rec, (ends, make, args) in records.items():
             records[rec] = (ends, make(*args))
 
@@ -246,10 +247,6 @@ def _sorted_walks(items: list[tuple[tuple[int, int], tuple[int, ...]]]) -> Walks
 
 def _normalized(a: int, b: int, walk: tuple[int, ...]) -> tuple[tuple[int, int], tuple[int, ...]]:
     return ((a, b), walk) if a <= b else ((b, a), walk[::-1])
-
-
-def _kept(walks: Walks) -> Walks:
-    return walks
 
 
 def _with_trivial(ends: Ends, walks: Walks, v: int) -> Walks:
@@ -390,13 +387,12 @@ def _forget(ctx: _Context, table: Table, child: Table, v: int, links: list[tuple
 
 # --- join -------------------------------------------------------------------
 
-# One child witness prepared for gluing: terminals with a non-trivial walk,
-# terminal -> its trivial walk, the other walks' ends and walks, and
-# non-terminal vertex x -> (the walk ends at x, and for each of them the
-# terminal at the walk's far end, or 0 for a spare walk).  Walk i's ends are
-# numbered 2i (at ends[i][0]) and 2i + 1 (at ends[i][1]).
+# One child witness prepared for gluing: terminal -> its trivial walk, the
+# other walks' ends and walks, and non-terminal vertex x -> (the walk ends
+# at x, and for each of them the terminal at the walk's far end, or 0 for a
+# spare walk).  Walk i's ends are numbered 2i (at ends[i][0]) and 2i + 1 (at
+# ends[i][1]).
 _Side = tuple[
-    frozenset[int],
     dict[int, tuple[int, ...]],
     list[tuple[int, int]],
     list[tuple[int, ...]],
@@ -405,7 +401,6 @@ _Side = tuple[
 
 
 def _side(partner: dict[int, int], ends: Ends, walks: Walks) -> _Side:
-    busy: set[int] = set()
     trivial: dict[int, tuple[int, ...]] = {}
     pieces: list[tuple[int, int]] = []
     piece_walks: list[tuple[int, ...]] = []
@@ -419,13 +414,11 @@ def _side(partner: dict[int, int], ends: Ends, walks: Walks) -> _Side:
         pieces.append(p)
         piece_walks.append(w)
         for end, x, far in ((k, a, b), (k + 1, b, a)):
-            if x in partner:
-                busy.add(x)
-            else:
+            if x not in partner:
                 site = at.setdefault(x, ([], []))
                 site[0].append(end)
                 site[1].append(far if far in partner else 0)
-    return frozenset(busy), trivial, pieces, piece_walks, at
+    return trivial, pieces, piece_walks, at
 
 
 @lru_cache(maxsize=None)
@@ -483,11 +476,9 @@ def _join(ctx: _Context, table: Table, left: Table, right: Table) -> None:
     partner = ctx.partner
     sides_b = [_side(partner, *w) for w in right.records.values()]
     for witness in left.records.values():
-        busy_a, trivial_a, pieces_a, walks_a, at_a = _side(partner, *witness)
+        trivial_a, pieces_a, walks_a, at_a = _side(partner, *witness)
         shift = 2 * len(pieces_a)
-        for busy_b, trivial_b, pieces_b, walks_b, at_b in sides_b:
-            if not busy_a.isdisjoint(busy_b):
-                continue  # a terminal with a walk on both sides
+        for trivial_b, pieces_b, walks_b, at_b in sides_b:
             trivial = [(v, w) for v, w in trivial_a.items() if v in trivial_b]
             pieces = pieces_a + pieces_b
             piece_walks = walks_a + walks_b
@@ -568,47 +559,49 @@ def compute_tables(
     tables: list[Table] = [Table() for _ in nodes]
     terminals: list[frozenset[int]] = [frozenset()] * len(nodes)
     for i, nd in enumerate(nodes):
-        if nd.kind == "forget":
-            # A forget node processes what its child did: share the set.
+        plain = nd.kind == "introduce" and nd.vertex not in partner
+        if nd.kind == "forget" or plain:
+            # The node processes the terminals its child did: share the set.
             (c,) = nd.children
             terminals[i] = terminals[c]
         else:
             terminals[i] = frozenset(v for v in nd.bag if v in partner).union(
                 *(terminals[c] for c in nd.children)
             )
-        ctx = _Context(bag=nd.bag, partner=partner, delta=delta, terminals=terminals[i])
-        table = tables[i]
-        if nd.kind == "leaf":
-            (v,) = nd.bag
-            if v in partner:
-                table.add(ctx, (((v, v),), _with_trivial, ((), (), v)))
-            else:
-                table.add(ctx, ((), _kept, ((),)))
-        elif nd.kind == "introduce":
-            (c,) = nd.children
-            v = nd.vertex
-            assert v is not None
-            for ends, walks in tables[c].records.values():
+        if plain:
+            # No walk ends at the new vertex, so every child record stays
+            # as it is, witness and order included: share the table.
+            tables[i] = tables[c]
+        else:
+            ctx = _Context(bag=nd.bag, partner=partner, delta=delta, terminals=terminals[i])
+            table = tables[i]
+            if nd.kind == "leaf":
+                (v,) = nd.bag
                 if v in partner:
+                    table.add(ctx, (((v, v),), _with_trivial, ((), (), v)))
+                else:
+                    table.add(ctx, ((), tuple, ()))
+            elif nd.kind == "introduce":  # of a terminal
+                (c,) = nd.children
+                v = nd.vertex
+                assert v is not None
+                for ends, walks in tables[c].records.values():
                     more = list(ends)
                     insort(more, (v, v))
                     table.add(ctx, (tuple(more), _with_trivial, (ends, walks, v)))
-                else:
-                    table.add(ctx, (ends, _kept, (walks,)))
-        elif nd.kind == "forget":
-            (c,) = nd.children
-            v = nd.vertex
-            assert v is not None
-            links = sorted(
-                (e, g.other_end(e, v))
-                for e in g.incident(v)
-                if g.other_end(e, v) in nd.bag
-            )
-            _forget(ctx, table, tables[c], v, links)
-        else:  # join
-            _join(ctx, table, tables[nd.children[0]], tables[nd.children[1]])
-        # Leaf and introduce steps map an antichain to an antichain.
-        table.settle(prune=nd.kind in ("forget", "join"))
+            elif nd.kind == "forget":
+                (c,) = nd.children
+                v = nd.vertex
+                assert v is not None
+                links = sorted(
+                    (e, g.other_end(e, v))
+                    for e in g.incident(v)
+                    if g.other_end(e, v) in nd.bag
+                )
+                _forget(ctx, table, tables[c], v, links)
+            else:  # join
+                _join(ctx, table, tables[nd.children[0]], tables[nd.children[1]])
+            table.settle()
         if free_children:
             for c in nd.children:
                 tables[c] = Table()

@@ -90,6 +90,53 @@ def test_budget_is_reported():
     assert result.status == "budget"
 
 
+def test_node_budget_boundaries():
+    # The exact node counts of the search: the budget at which each answer
+    # first appears.  A change to the search order or to a pruning moves
+    # them.
+    edges = [(v, v + 1) for v in range(1, 37) if v % 6] + [(v, v + 6) for v in range(1, 31)]
+    grid = EdpInstance(Multigraph(36, edges), (TerminalPair(1, 36), TerminalPair(6, 31)))
+    assert brute_force_edp(grid, 43).status == "budget"
+    result = brute_force_edp(grid, 44)
+    assert result.is_yes
+    assert result.paths.paths == (
+        (0, 1, 2, 3, 34, 8, 7, 6, 5, 36, 10, 11, 12, 13, 14, 47, 19, 18, 17, 16, 15, 48, 20, 21, 22, 23, 24, 59),
+        (35, 9, 40, 46, 52, 58, 28, 27, 26, 25),
+    )
+    # A 3x8 grid (vertex r*3 + c + 1; each vertex's right, then down edge)
+    # with four pairs of leaves hung on the top and bottom rows: four paths
+    # through a three-edge cut, so "no".
+    edges = []
+    for v in range(1, 25):
+        if v % 3:
+            edges.append((v, v + 1))
+        if v <= 21:
+            edges.append((v, v + 3))
+    pairs = []
+    for k, (a, b) in enumerate(zip((1, 2, 3, 1), (22, 23, 24, 24))):
+        s, t = 25 + 2 * k, 26 + 2 * k
+        edges += [(a, s), (b, t)]
+        pairs.append(TerminalPair(s, t))
+    cut = EdpInstance(Multigraph(32, edges), tuple(pairs))
+    assert brute_force_edp(cut, 24835).status == "budget"
+    assert brute_force_edp(cut, 24836).status == "no"
+
+
+def test_long_path_needs_no_recursion(monkeypatch):
+    # The pendant terminals are 1,500 ring edges apart; the search walks
+    # that path without recursing, so it never touches the limit.
+    n = 3000
+    edges = [(v, v % n + 1) for v in range(1, n + 1)] + [(1, n + 1), (n // 2 + 1, n + 2)]
+    inst = EdpInstance(Multigraph(n + 2, edges), (TerminalPair(n + 1, n + 2),))
+
+    def refuse(limit):
+        raise AssertionError("the search changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    result = brute_force_edp(inst)
+    assert result.is_yes and verify_solution(inst, result.paths).ok
+
+
 def test_yes_certificates_verify(rng):
     for _ in range(80):
         inst = random_normalized_instance(rng, max_n=8)

@@ -297,7 +297,37 @@ def test_decomposition_must_be_a_tree_decomposition(edges, pairs, bags, parent, 
         solve_twdp(inst, decomposition=td)
 
 
-CORRUPTIONS = ("none", "drop", "cycle", "index", "range", "edge")
+@pytest.mark.parametrize(
+    "edges, pairs, bags, parent",
+    [
+        ([(1, 2), (2, 3), (3, 4), (4, 5)], [(1, 5)], [{1, 2}, {2, 3}, {3, 4}, {4, 5}, set()], [1, 2, 3, -1, 3]),
+        ([(1, 2), (2, 3), (3, 4), (4, 5)], [(1, 5)], [set(), {1, 2}, {2, 3}, {3, 4}, {4, 5}], [1, 2, 3, 4, -1]),
+        (
+            [(1, 2), (2, 3), (4, 5), (5, 6)],
+            [(1, 3), (4, 6)],
+            [{1, 2}, {2, 3}, set(), {4, 5}, {5, 6}, set()],
+            [1, 2, -1, 4, 2, 2],
+        ),
+    ],
+    ids=["empty-leaf", "empty-first-leaf", "empty-root-and-leaf"],
+)
+def test_decomposition_with_empty_bags(edges, pairs, bags, parent):
+    # An empty leaf bag holds no vertex, so the nice decomposition emits
+    # nothing for it; a vertex started and forgotten there would have a
+    # second, disconnected occurrence.
+    n = max(max(e) for e in edges)
+    inst = EdpInstance(Multigraph(n, edges), tuple(TerminalPair(s, t) for s, t in pairs))
+    assert inst.normalized
+    td = TreeDecomposition([frozenset(b) for b in bags], parent)
+    td.validate(inst.g)
+    make_nice(td).validate(inst.g)
+    r = solve_twdp(inst, decomposition=td)
+    assert r.is_yes and verify_solution(inst, r.paths).ok
+    with pytest.raises(ValueError, match="covers no vertices"):
+        make_nice(TreeDecomposition([frozenset(), frozenset()], [-1, 0]))
+
+
+CORRUPTIONS =("none", "drop", "cycle", "index", "range", "edge")
 
 
 def corrupt(rng, g, td, kind):
