@@ -5,12 +5,15 @@ component of G^P - X has at most |X| vertices), make it terminal-free (an
 equally small search that avoids the terminals, else exchanging each
 terminal for its pair's neighbours, which at most doubles |X|; only a
 normal form with a single non-terminal has no terminal-free modulator, and
-there every pair is joined through that one vertex), subdivide
-modulator-internal edges, find for every component the set of
-configurations it admits (its signature), and decide with an integer
-feasibility program whether one configuration per component can be selected
-so that, between every two modulator vertices, the demanded crossings are
-covered by the supplied connecting paths.  A component has at most |X|
+there every pair is joined through that one vertex), find for every
+component the set of configurations it admits (its signature), and decide
+with an integer feasibility program whether one configuration per component
+can be selected so that, between every two modulator vertices, the demanded
+crossings are covered by the supplied connecting paths.  The paper may
+assume the modulator independent, as subdividing every edge between two
+modulator vertices would make it; here no edge is subdivided, and each
+such edge is counted as one more supplied path between its ends.  Every
+step runs on the normal form of the instance.  A component has at most |X|
 vertices, so the configurations it admits are decided inside it: each
 candidate routing of its pairs and supply of modulator-to-modulator paths
 is one call of the path search `oracle._route_all` on the multigraph of the
@@ -37,7 +40,6 @@ from edpkit.instance import (
     augmented_graph,
     certify,
     normalize_instance,
-    subdivide_edges,
 )
 from edpkit.oracle import _route_all, fracture_modulator_valid
 
@@ -204,27 +206,6 @@ def terminal_free_modulator(inst: EdpInstance, x0: FractureModulator) -> Fractur
         return None
     assert not (padded & terminals)
     return FractureModulator(frozenset(padded))
-
-
-def prepare_fracture(
-    inst: EdpInstance, x: FractureModulator
-) -> tuple[EdpInstance, FractureModulator, tuple[int, ...]]:
-    """Subdivide every graph edge with both endpoints in the modulator, so
-    the modulator becomes independent in the graph.  Returns the rewritten
-    instance, the unchanged modulator, and a map from new edge indices to
-    the source edge index (subdivision halves share their source)."""
-    g = inst.g
-    mod = x.vertices
-    splits: dict[int, tuple[int, int]] = {}
-    next_id = g.n
-    for idx, (u, v) in enumerate(g.edges):
-        if u in mod and v in mod:
-            next_id += 1
-            splits[idx] = (u, next_id)
-    new_edges, edge_map = subdivide_edges(g.edges, splits)
-    out = EdpInstance(Multigraph(next_id, new_edges), inst.pairs)
-    assert out.normalized
-    return out, x, edge_map
 
 
 # A trace is a tuple of distinct modulator vertices, length >= 2, stored in
@@ -500,11 +481,13 @@ def _net_demand(config: Config) -> Counter[tuple[int, int]]:
 
 
 def build_selector_program(
-    signatures: list[Signature], x: FractureModulator
+    signatures: list[Signature], x: FractureModulator, direct: Mapping[tuple[int, int], int]
 ) -> SelectorProgram:
     """Variables per (signature class, configuration); one equality per
     class fixing the number of components served; one inequality per
-    modulator 2-subset bounding demanded crossings by supplied paths."""
+    modulator 2-subset bounding demanded crossings by supplied paths.
+    direct[(a, b)], a < b, counts the graph edges a-b: each is a supplied
+    path of its own, so it is the bound of that pair's inequality."""
     class_members: dict[str, list[int]] = {}
     class_configs: dict[str, list[Config]] = {}
     for cid, sig in enumerate(signatures):
@@ -531,7 +514,7 @@ def build_selector_program(
         for b in mod[i + 1 :]:
             coeffs = tuple(net.get((a, b), 0) for net in balance)
             if any(coeffs):
-                le_rows.append((coeffs, 0))
+                le_rows.append((coeffs, direct.get((a, b), 0)))
     program = IntegerProgram(lower, upper, tuple(eq_rows), tuple(le_rows))
     return SelectorProgram(program, variables, class_members)
 
@@ -579,12 +562,15 @@ def solve_fracture(inst: EdpInstance, kmax: int) -> SolveResult:
         legs = [(g.incident(p.s)[0], g.incident(p.t)[0]) for p in work.pairs]
         return SolveResult("yes", certify("fracture", inst, legs))
 
-    prep, x, edge_map = prepare_fracture(work, x)
-    paug = augmented_graph(prep)
-    comps = sorted(components_excluding(paug, x.vertices), key=min)
-    memo = SignatureMemo(prep, x)
-    signatures = [component_signature(prep, comp, x, memo) for comp in comps]
-    selector = build_selector_program(signatures, x)
+    comps = sorted(components_excluding(aug, x.vertices), key=min)
+    memo = SignatureMemo(work, x)
+    signatures = [component_signature(work, comp, x, memo) for comp in comps]
+    # The edges between two modulator vertices, per pair (a < b).
+    direct: dict[tuple[int, int], list[int]] = {}
+    for e, (u, v) in enumerate(work.g.edges):
+        if u in x.vertices and v in x.vertices:
+            direct.setdefault((u, v) if u < v else (v, u), []).append(e)
+    selector = build_selector_program(signatures, x, {key: len(edges) for key, edges in direct.items()})
     assignment = solve_feasibility(selector.program)
     if assignment is None:
         return SolveResult("no")
@@ -604,6 +590,15 @@ def solve_fracture(inst: EdpInstance, kmax: int) -> SolveResult:
     for wit in witnesses:
         for key, paths in sorted(wit.supply.items()):
             pools.setdefault(key, deque()).extend(paths)
+    # Each edge a-b between two modulator vertices is one more supplied
+    # path, pooled after every component's supply, in edge-index order.
+    # Subdividing it would give the same: its midpoint, a component of a
+    # higher id than any other, admits only "unused" and "one path a-b".
+    # "Unused" sorts first, so the selector's lexicographically first point
+    # sets it to 0 whenever it can, and extra supply never violates a row,
+    # so that point always takes the path.
+    for key, edges in direct.items():
+        pools.setdefault(key, deque()).extend((e,) for e in edges)
 
     def take_supply(u: int, v: int) -> tuple[int, ...]:
         key = (u, v) if u < v else (v, u)
@@ -624,4 +619,4 @@ def solve_fracture(inst: EdpInstance, kmax: int) -> SolveResult:
             parts.extend(reversed(t_edges))
             walks[j] = tuple(parts)
 
-    return SolveResult("yes", certify("fracture", inst, [walks[j] for j in range(len(work.pairs))], edge_map))
+    return SolveResult("yes", certify("fracture", inst, [walks[j] for j in range(len(work.pairs))]))

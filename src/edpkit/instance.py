@@ -366,9 +366,11 @@ def map_paths(
 
 def augmented_graph(inst: EdpInstance) -> Multigraph:
     """The instance graph with one extra edge per terminal pair, in pair order."""
+    # The instance checked its edges, and a pair's ends are in range and
+    # distinct, so the constructor's checks would find nothing.
     edges = list(inst.g.edges)
     edges.extend(p.members() for p in inst.pairs)
-    return Multigraph(inst.g.n, edges, directed=False)
+    return Multigraph._from_checked(inst.g.n, edges)
 
 
 def walk_endpoints(g: Multigraph, path: Iterable[int], start: int) -> int | None:

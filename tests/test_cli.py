@@ -85,6 +85,46 @@ def grid_text(extra_edges, pairs, w=4, h=4):
     return "\n".join(lines) + "\n"
 
 
+DENSE9_EDGES = [
+    (1, 3), (1, 5), (1, 8), (1, 9), (2, 3), (2, 7), (3, 4), (3, 5), (3, 6), (3, 8), (3, 9), (4, 5),
+    (4, 6), (4, 7), (4, 8), (4, 9), (5, 6), (5, 7), (5, 8), (5, 9), (6, 8), (6, 9), (7, 8), (8, 9),
+]
+# Hub 1 is the one feedback vertex: the path 2-...-9 and the path 5-10-11
+# hang off it, and every pair's terminals have degree 2.
+FVS1_EDGES = [(v, v + 1) for v in range(2, 9)] + [(1, 2), (1, 4), (1, 6), (1, 9), (5, 10), (10, 11), (1, 11)]
+GOLDEN = {
+    "twdp": (
+        grid_text([], [(1, 36), (6, 31)], w=6, h=6),
+        "s yes\npath 1: 31 37 43 49 21 22 23 24 25 60\npath 2: 5 35 9 34 3 33 39 45 51 57 27 26\n",
+    ),
+    # The modulator {1, 3, 4, 7} has the three edges 1-3, 3-4 and 4-7 inside it.
+    "fracture": (
+        write_instance(EdpInstance(Multigraph(9, DENSE9_EDGES), (TerminalPair(3, 2),))),
+        "s yes\npath 1: 8 2 3 23 6\n",
+    ),
+    "sedp": (
+        write_instance(
+            EdpInstance(Multigraph(11, FVS1_EDGES), (TerminalPair(2, 9), TerminalPair(3, 10), TerminalPair(4, 8)))
+        ),
+        "s yes\npath 1: 8 11\npath 2: 2 9 14 13\npath 3: 3 4 5 6\n",
+    ),
+    "brute": (P4, "s yes\npath 1: 1 2 3\n"),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(GOLDEN))
+def test_golden_certificates(tmp_path, capsys, engine):
+    """Each engine's certificate for one instance, byte for byte: a change
+    that keeps every verdict can still change which paths are written."""
+    text, want = GOLDEN[engine]
+    inst = write(tmp_path, "case.edp", text)
+    sol = tmp_path / "case.sol"
+    assert main(["solve", "--engine", engine, "--solution", str(sol), str(inst)]) == EXIT_YES
+    assert f"[{engine}]" in capsys.readouterr().out
+    assert sol.read_text(encoding="ascii") == want
+    assert main(["verify", str(inst), str(sol)]) == EXIT_YES
+
+
 def test_auto_twdp_with_terminals_on_grid_vertices(tmp_path, capsys):
     # auto falls through to twdp on these grids.  Terminals written on grid
     # vertices get leaves from normalization, which the decomposition must

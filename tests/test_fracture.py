@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import networkx as nx
@@ -17,7 +18,6 @@ from edpkit.fracture import (
     _dfs_collect,
     find_fracture_modulator,
     pack_connected_sets,
-    prepare_fracture,
     solve_fracture,
     terminal_free_modulator,
 )
@@ -175,20 +175,6 @@ def test_terminal_free_modulator_random(rng):
     assert checked >= 50
 
 
-def test_prepare_fracture():
-    g = Multigraph(4, [(1, 2), (2, 3), (3, 4)])
-    inst = EdpInstance(g, ())
-    x = FractureModulator(frozenset({2, 3}))
-    prep, x2, edge_map = prepare_fracture(inst, x)
-    assert x2 == x
-    assert prep.g.n == 5  # one subdivision vertex for edge (2, 3)
-    assert edge_map == (0, 1, 1, 2)
-    # no modulator-internal edges: unchanged
-    x_far = FractureModulator(frozenset({1, 4}))
-    prep2, _, edge_map2 = prepare_fracture(inst, x_far)
-    assert prep2.g.edges == g.edges and edge_map2 == (0, 1, 2)
-
-
 def test_signature_examples():
     g = Multigraph(4, [(1, 3), (2, 4)])
     inst = EdpInstance(g, (TerminalPair(1, 2),))
@@ -213,19 +199,17 @@ def test_signature_matches_labeling_oracle(rng):
         x0 = find_fracture_modulator(aug, k, "exact")
         if x0.vertices & inst.terminals:
             x0 = terminal_free_modulator(inst, x0)
-        prep, x0, _ = prepare_fracture(inst, x0)
-        paug = augmented_graph(prep)
-        for comp in components_excluding(paug, x0.vertices):
+        for comp in components_excluding(aug, x0.vertices):
             edge_count = sum(
                 1
-                for u, v in prep.g.edges
+                for u, v in inst.g.edges
                 if (u in comp or v in comp) and {u, v} <= comp | x0.vertices
             )
             if edge_count > 8:
                 continue
-            got = set(component_signature(prep, comp, x0))
-            want = signature_by_labeling(prep, comp, x0)
-            assert got == want, (prep.g.edges, comp, x0)
+            got = set(component_signature(inst, comp, x0))
+            want = signature_by_labeling(inst, comp, x0)
+            assert got == want, (inst.g.edges, comp, x0)
             checked += 1
     assert checked >= 40
 
@@ -338,17 +322,19 @@ def test_selector_program_examples():
     paug = augmented_graph(inst)
     comps = sorted(components_excluding(paug, x.vertices), key=min)
     sigs = [component_signature(inst, c, x) for c in comps]
-    sel = build_selector_program(sigs, x)
+    sel = build_selector_program(sigs, x, {})
     assert len(sel.variables) == 3
     assert len(sel.program.eq_rows) == 2
     # two crossings demanded, one supplied: correctly infeasible
     assert solve_feasibility(sel.program) is None
+    # an edge 6-7 supplies the second crossing
+    assert solve_feasibility(build_selector_program(sigs, x, {(6, 7): 1}).program) is not None
     # with a single pair component the selector becomes feasible
     g1 = Multigraph(5, [(1, 6 - 2), (2, 7 - 2), (3, 6 - 2), (3, 7 - 2)])
     inst1 = EdpInstance(g1, (TerminalPair(1, 2),))
     x1 = FractureModulator(frozenset({4, 5}))
     comps1 = sorted(components_excluding(augmented_graph(inst1), x1.vertices), key=min)
-    sel1 = build_selector_program([component_signature(inst1, c, x1) for c in comps1], x1)
+    sel1 = build_selector_program([component_signature(inst1, c, x1) for c in comps1], x1, {})
     assert solve_feasibility(sel1.program) is not None
     # demand/supply arithmetic
     cfg_pair = (((6, 7),), ())
@@ -358,7 +344,7 @@ def test_selector_program_examples():
 
 
 def test_selector_rows_are_demand_minus_supply(rng):
-    checked = 0
+    checked = bounded = 0
     for _ in range(40):
         inst = random_normalized_instance(rng, max_n=8, max_m=12, max_pairs=3)
         aug = augmented_graph(inst)
@@ -368,23 +354,56 @@ def test_selector_rows_are_demand_minus_supply(rng):
         x0 = find_fracture_modulator(aug, k, "exact")
         if x0.vertices & inst.terminals:
             x0 = terminal_free_modulator(inst, x0)
-        prep, x0, _ = prepare_fracture(inst, x0)
-        comps = sorted(components_excluding(augmented_graph(prep), x0.vertices), key=min)
-        sel = build_selector_program([component_signature(prep, c, x0) for c in comps], x0)
+        comps = sorted(components_excluding(aug, x0.vertices), key=min)
+        direct = Counter(tuple(sorted(e)) for e in inst.g.edges if set(e) <= x0.vertices)
+        sel = build_selector_program([component_signature(inst, c, x0) for c in comps], x0, direct)
         want = []
         mod = sorted(x0.vertices)
         for i, a in enumerate(mod):
             for b in mod[i + 1 :]:
                 coeffs = tuple(config_demand(cfg, a, b) - config_supply(cfg, a, b) for _, cfg in sel.variables)
                 if any(coeffs):
-                    want.append((coeffs, 0))
+                    # Each graph edge a-b is one supplied path.
+                    want.append((coeffs, sum(1 for e in inst.g.edges if set(e) == {a, b})))
         assert sel.program.le_rows == tuple(want)
         checked += bool(want)
+        bounded += sum(1 for _, bound in want if bound)
     assert checked >= 10
+    assert bounded >= 10, bounded
+
+
+def two_hub_instance(p, q, chain):
+    """Hubs 1 and 2 joined by p parallel edges (edges 0..p-1), then, with
+    `chain`, the path 1-3-2, then q pairs (s, t), each s a leaf on hub 1
+    and each t a leaf on hub 2.  Every modulator edge 1-2 is a supplied
+    path, so the answer is yes iff q <= p + chain."""
+    edges = [(1, 2)] * p + [(1, 3), (3, 2)] * chain
+    n = 2 + chain
+    pairs = []
+    for _ in range(q):
+        edges += [(n + 1, 1), (n + 2, 2)]
+        pairs.append(TerminalPair(n + 1, n + 2))
+        n += 2
+    return EdpInstance(Multigraph(n, edges), tuple(pairs))
+
+
+def test_edges_between_hubs_are_supply():
+    for p in range(4):
+        for q in range(5):
+            for chain in (False, True):
+                inst = two_hub_instance(p, q, chain)
+                got = solve_fracture(inst, 4)
+                assert got.status == ("yes" if q <= p + chain else "no"), (p, q, chain)
+                if got.is_yes:
+                    assert verify_solution(inst, got.paths).ok
+    # Pinned certificates: a component's supply is used before the edges
+    # between hubs, and those in edge-index order.
+    assert solve_fracture(two_hub_instance(1, 2, True), 4).paths.paths == ((3, 1, 2, 4), (5, 0, 6))
+    assert solve_fracture(two_hub_instance(2, 2, False), 4).paths.paths == ((2, 0, 3), (4, 1, 5))
 
 
 def test_selector_program_empty():
-    sel = build_selector_program([], FractureModulator(frozenset({1, 2})))
+    sel = build_selector_program([], FractureModulator(frozenset({1, 2})), {(1, 2): 1})
     assert solve_feasibility(sel.program) == ()
 
 
