@@ -9,10 +9,16 @@ there every pair is joined through that one vertex), find for every
 component the set of configurations it admits (its signature), and decide
 with an integer feasibility program whether one configuration per component
 can be selected so that, between every two modulator vertices, the demanded
-crossings are covered by the supplied connecting paths.  The paper may
-assume the modulator independent, as subdividing every edge between two
-modulator vertices would make it; here no edge is subdivided, and each
-such edge is counted as one more supplied path between its ends.  Every
+crossings are covered by the supplied connecting paths.  The program
+also holds one row per cut of the modulator, the sum of the rows of the
+pairs across it, so the search sees that a pair with ends on both sides
+of a cut must cross it; each class's least crossing is moved into the
+row's bound, so a cut that more pairs must cross than paths join is
+refuted before any variable is set.  These rows are implied by the
+others and change no answer.  The paper may assume the modulator
+independent, as subdividing every edge between two modulator vertices
+would make it; here no edge is subdivided, and each such edge is
+counted as one more supplied path between its ends.  Every
 step runs on the normal form of the instance.  A component has at most |X|
 vertices, so the configurations it admits are decided inside it: each
 candidate routing of its pairs and supply of modulator-to-modulator paths
@@ -485,36 +491,78 @@ def build_selector_program(
 ) -> SelectorProgram:
     """Variables per (signature class, configuration); one equality per
     class fixing the number of components served; one inequality per
-    modulator 2-subset bounding demanded crossings by supplied paths.
-    direct[(a, b)], a < b, counts the graph edges a-b: each is a supplied
-    path of its own, so it is the bound of that pair's inequality."""
+    modulator 2-subset bounding demanded crossings by supplied paths, then
+    one per cut of the modulator.  direct[(a, b)], a < b, counts the graph
+    edges a-b: each is a supplied path of its own, so it is the bound of
+    that pair's inequality.
+
+    A cut (S, X - S), with the least modulator vertex in S, adds up the
+    rows of the pairs across it, bounds included: a pair with ends on both
+    sides must cross it, and no single pair row sees that.  Each class's
+    variables sum to its count m under its equality, so the cut row then
+    subtracts the class's least coefficient mu from each of the class's
+    coefficients and mu * m from its bound; the search's interval test
+    thus sees each class's least crossing before the class is assigned.
+    A sum that is all zero or repeats a pair row is left out.  Cut rows
+    are implied by the pair rows and the equalities, so the feasible
+    points, and the lexicographically first of them, stay those of the
+    pair rows alone."""
     class_members: dict[str, list[int]] = {}
     class_configs: dict[str, list[Config]] = {}
+    # Components of one shape and anchors share their configuration dict,
+    # so each dict is sorted and keyed once.
+    keyed: dict[int, tuple[str, list[Config]]] = {}
     for cid, sig in enumerate(signatures):
-        configs = sorted(sig)
-        key = repr(configs)
+        known = keyed.get(id(sig._configs))
+        if known is None:
+            configs = sorted(sig)
+            known = keyed[id(sig._configs)] = (repr(configs), configs)
+        key, configs = known
         class_members.setdefault(key, []).append(cid)
         class_configs.setdefault(key, configs)
     variables: list[tuple[str, Config]] = []
+    spans: list[tuple[int, int, int]] = []  # (first variable, end, count) per class
     for key in sorted(class_members):
-        for config in class_configs[key]:
-            variables.append((key, config))
-    lower = tuple(0 for _ in variables)
-    upper = tuple(len(class_members[key]) for key, _ in variables)
-    eq_rows = []
-    for key in sorted(class_members):
-        coeffs = tuple(1 if vkey == key else 0 for vkey, _ in variables)
-        eq_rows.append((coeffs, len(class_members[key])))
-    le_rows = []
+        spans.append((len(variables), len(variables) + len(class_configs[key]), len(class_members[key])))
+        variables.extend((key, config) for config in class_configs[key])
+    p = len(variables)
+    lower = (0,) * p
+    upper = tuple(count for start, end, count in spans for _ in range(start, end))
+    eq_rows = [((0,) * start + (1,) * (end - start) + (0,) * (p - end), count) for start, end, count in spans]
     mod = sorted(x.vertices)
-    # A coefficient is config_demand - config_supply of the variable's
-    # configuration; each configuration is read once for all pairs.
-    balance = [_net_demand(cfg) for _, cfg in variables]
-    for i, a in enumerate(mod):
-        for b in mod[i + 1 :]:
-            coeffs = tuple(net.get((a, b), 0) for net in balance)
-            if any(coeffs):
-                le_rows.append((coeffs, direct.get((a, b), 0)))
+    pairs = list(combinations(mod, 2))
+    # The side S of each cut: mod[0] and fewer than all other vertices.
+    cuts = [{mod[0], *rest} for r in range(len(mod) - 1) for rest in combinations(mod[1:], r)]
+    # Row r < len(pairs) belongs to pair r, row len(pairs) + c to cut c.
+    rows_of = {
+        (a, b): [r, *(len(pairs) + c for c, side in enumerate(cuts) if (a in side) != (b in side))]
+        for r, (a, b) in enumerate(pairs)
+    }
+    coeffs = [[0] * p for _ in range(len(pairs) + len(cuts))]
+    bounds = [0] * len(coeffs)
+    for pair, rows in rows_of.items():
+        for r in rows:
+            bounds[r] += direct.get(pair, 0)
+    # A pair's coefficient is config_demand - config_supply of the
+    # variable's configuration, and a cut's the sum of its pairs'; each
+    # configuration is read once for all rows.
+    for v, (_, cfg) in enumerate(variables):
+        for pair, d in _net_demand(cfg).items():
+            for r in rows_of[pair]:
+                coeffs[r][v] += d
+    le_rows = [(tuple(row), bound) for row, bound in zip(coeffs[: len(pairs)], bounds) if any(row)]
+    pair_rows = set(le_rows)
+    for row, bound in zip(coeffs[len(pairs) :], bounds[len(pairs) :]):
+        if not any(row) or (tuple(row), bound) in pair_rows:
+            continue
+        for start, end, count in spans:
+            # A class that admits no configuration has no variables and is
+            # not shifted; its equality alone makes the program infeasible.
+            least = min(row[start:end], default=0)
+            if least:
+                row[start:end] = [c - least for c in row[start:end]]
+                bound -= least * count
+        le_rows.append((tuple(row), bound))
     program = IntegerProgram(lower, upper, tuple(eq_rows), tuple(le_rows))
     return SelectorProgram(program, variables, class_members)
 

@@ -29,7 +29,7 @@ from edpkit.instance import (
     normalize_instance,
     verify_solution,
 )
-from edpkit.ilp import solve_feasibility
+from edpkit.ilp import IntegerProgram, solve_feasibility
 from edpkit.oracle import (
     brute_force_edp,
     exhaustive_fracture_number,
@@ -344,7 +344,8 @@ def test_selector_program_examples():
 
 
 def test_selector_rows_are_demand_minus_supply(rng):
-    checked = bounded = 0
+    checked = bounded = cut = 0
+    points = Counter({True: 0, False: 0})  # programs with cut rows, by infeasibility
     for _ in range(40):
         inst = random_normalized_instance(rng, max_n=8, max_m=12, max_pairs=3)
         aug = augmented_graph(inst)
@@ -365,11 +366,47 @@ def test_selector_rows_are_demand_minus_supply(rng):
                 if any(coeffs):
                     # Each graph edge a-b is one supplied path.
                     want.append((coeffs, sum(1 for e in inst.g.edges if set(e) == {a, b})))
-        assert sel.program.le_rows == tuple(want)
+        assert sel.program.le_rows[: len(want)] == tuple(want)
         checked += bool(want)
         bounded += sum(1 for _, bound in want if bound)
+        # The further rows are the cut rows: for each cut (S, X - S) with
+        # the least modulator vertex in S, the sum of the rows of the pairs
+        # across it, less each class's least coefficient, and the bound
+        # less that coefficient times the class's count.  Sums that are all
+        # zero or repeat a pair row are left out.
+        classes = {}
+        for v, (key, _) in enumerate(sel.variables):
+            classes.setdefault(key, []).append(v)
+        cut_rows = []
+        for r in range(len(mod) - 1):
+            for rest in combinations(mod[1:], r):
+                side = {mod[0], *rest}
+                across = [(a, b) for a, b in combinations(mod, 2) if (a in side) != (b in side)]
+                coeffs = [
+                    sum(config_demand(cfg, a, b) - config_supply(cfg, a, b) for a, b in across)
+                    for _, cfg in sel.variables
+                ]
+                bound = sum(direct[pair] for pair in across)
+                if not any(coeffs) or (tuple(coeffs), bound) in want:
+                    continue
+                for key, members in classes.items():
+                    least = min(coeffs[v] for v in members)
+                    for v in members:
+                        coeffs[v] -= least
+                    bound -= least * len(sel.class_members[key])
+                cut_rows.append((tuple(coeffs), bound))
+        assert sorted(sel.program.le_rows[len(want) :]) == sorted(cut_rows)
+        cut += len(cut_rows)
+        # The cut rows are implied, so the search returns the point it
+        # returns on the pair rows alone.
+        prog = sel.program
+        point = solve_feasibility(prog)
+        assert point == solve_feasibility(IntegerProgram(prog.lower, prog.upper, prog.eq_rows, tuple(want)))
+        points[point is None] += bool(cut_rows)
     assert checked >= 10
     assert bounded >= 10, bounded
+    assert cut >= 10, cut
+    assert min(points.values()) >= 3, points
 
 
 def two_hub_instance(p, q, chain):
@@ -405,6 +442,68 @@ def test_edges_between_hubs_are_supply():
 def test_selector_program_empty():
     sel = build_selector_program([], FractureModulator(frozenset({1, 2})), {(1, 2): 1})
     assert solve_feasibility(sel.program) == ()
+
+
+def test_selector_with_an_empty_class_stays_infeasible():
+    """A component that admits no configuration is a class without
+    variables: the cut rows pass over it, and its equality alone refutes
+    the program."""
+    # Modulator 1, 2, 3.  Pair 4-7 hangs off hubs 1 and 2, the chain 8
+    # joins hubs 1 and 3, and pair 9-12 has no route: 12's neighbour 11
+    # touches nothing else.
+    edges = [(4, 5), (5, 1), (7, 6), (6, 2), (1, 8), (8, 3), (9, 10), (10, 1), (12, 11)]
+    inst = EdpInstance(Multigraph(12, edges), (TerminalPair(4, 7), TerminalPair(9, 12)))
+    x = FractureModulator(frozenset({1, 2, 3}))
+    comps = sorted(components_excluding(augmented_graph(inst), x.vertices), key=min)
+    sigs = [component_signature(inst, c, x) for c in comps]
+    assert sorted(len(sig) for sig in sigs) == [0, 2, 2]
+    # Pair 4-7 crosses 1-2 directly or along 1-3-2, with the chain for
+    # 1-3 and the edge 2-3 for 3-2.
+    nonempty = build_selector_program([sig for sig in sigs if sig], x, {(2, 3): 1})
+    assert solve_feasibility(nonempty.program) is not None
+    sel = build_selector_program(sigs, x, {(2, 3): 1})
+    assert len(sel.program.le_rows) > 3  # a cut row after the three pair rows
+    assert (tuple(0 for _ in sel.variables), 1) in sel.program.eq_rows
+    assert solve_feasibility(sel.program) is None
+
+
+def hub_cut_instance(c):
+    """Hubs 1..4 with c one-vertex chains between every two of them, then
+    3c + 1 pairs from hub 1 to hubs 2, 3 and 4 in turn and 15 pairs
+    between every two of hubs 2..4, each pair on its own component
+    s-a-hub, hub-b-t.  The cut between hub 1 and the other hubs is crossed
+    by 3c chains and must be crossed by 3c + 1 pairs, so the answer is
+    "no"; every pair row alone can be met."""
+    n, edges = 4, []
+    for u, v in combinations(range(1, 5), 2):
+        for _ in range(c):
+            n += 1
+            edges += [(u, n), (n, v)]
+    ends = [(1, 2 + i % 3) for i in range(3 * c + 1)] + [(2, 3), (2, 4), (3, 4)] * 15
+    pairs = []
+    for hu, hv in ends:
+        s, a, b, t = n + 1, n + 2, n + 3, n + 4
+        n += 4
+        edges += [(s, a), (a, hu), (hv, b), (b, t)]
+        pairs.append(TerminalPair(s, t))
+    return EdpInstance(Multigraph(n, edges), tuple(pairs))
+
+
+def test_hub_cut_is_refuted_at_the_root(monkeypatch):
+    """Every configuration of a pair at hub 1 crosses the cut of hub 1
+    once, so after the shift by each class's least crossing that cut's row
+    has no negative coefficient and a negative bound: the search refutes
+    the program before it assigns a variable."""
+    programs = []
+
+    def recorded(prog):
+        programs.append(prog)
+        return solve_feasibility(prog)
+
+    monkeypatch.setattr(fracture, "solve_feasibility", recorded)
+    assert solve_fracture(hub_cut_instance(16), 4).status == "no"
+    (prog,) = programs
+    assert any(bound < 0 and min(coeffs) >= 0 for coeffs, bound in prog.le_rows)
 
 
 def test_solve_examples():

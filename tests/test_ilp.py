@@ -98,6 +98,21 @@ def test_same_point_as_plain_search(prog):
     assert solve_feasibility(prog) == oracle_feasibility(prog)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(programs(), st.data())
+def test_implied_rows_keep_the_point(prog, data):
+    """A non-negative combination of the inequalities, plus any multiple
+    of the equalities, holds wherever they all hold, so appending it keeps
+    the lexicographically first point."""
+    rows = prog.le_rows + prog.eq_rows
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=len(prog.le_rows), max_size=len(prog.le_rows)))
+    weights += data.draw(st.lists(st.integers(-3, 3), min_size=len(prog.eq_rows), max_size=len(prog.eq_rows)))
+    coeffs = tuple(sum(w * row[i] for w, (row, _) in zip(weights, rows)) for i in range(prog.num_vars))
+    bound = sum(w * rhs for w, (_, rhs) in zip(weights, rows))
+    more = IntegerProgram(prog.lower, prog.upper, prog.eq_rows, prog.le_rows + ((coeffs, bound),))
+    assert solve_feasibility(more) == solve_feasibility(prog)
+
+
 def test_returns_first_point_of_enumeration(rng):
     for _ in range(600):
         p = rng.randint(1, 5)
