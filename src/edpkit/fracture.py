@@ -159,9 +159,11 @@ def find_fracture_modulator(
     Each branch node first packs disjoint connected sets of k+1 vertices
     and gives up when more of them fit than deletions remain, so a graph
     far from any small modulator is refuted in one linear pass.
-    approx: deletes the whole collected set instead of branching; output
-    size is at most (k+1)k and None is only returned when no modulator of
-    size <= k exists.  `forbidden` vertices (exact mode only) are never
+    approx: one greedy packing of disjoint connected sets of k+1 vertices
+    (`pack_connected_sets`) instead of branching.  More than k sets refute
+    every modulator of size <= k, so None is then exact; otherwise the
+    union of the sets, at most (k+1)k vertices, leaves every component
+    below k+1 vertices.  `forbidden` vertices (exact mode only) are never
     picked, and None then means that no modulator of size <= k avoids them.
     """
     if mode not in ("exact", "approx"):
@@ -171,21 +173,8 @@ def find_fracture_modulator(
     if mode == "exact":
         found = _branch(g, k + 1, forbidden, set(), k)
     else:
-        removed: set[int] = set()
-        levels = k
-        while True:
-            comps = sorted(
-                (c for c in components_excluding(g, removed) if len(c) > k),
-                key=min,
-            )
-            if not comps:
-                found = set(removed)
-                break
-            if levels <= 0:
-                found = None
-                break
-            removed.update(_dfs_collect(g, min(comps[0]), k + 1, removed))
-            levels -= 1
+        packed = pack_connected_sets(g, k + 1, set(), k + 1)
+        found = None if len(packed) > k else {v for region in packed for v in region}
     if found is None:
         return None
     padded = _pad_to_valid(g, found, forbidden)
@@ -230,7 +219,7 @@ class ComponentWitness:
     """One realization of a configuration inside a component."""
 
     internal: dict[int, tuple[int, ...]]  # pair index -> oriented edges s->t
-    halves: dict[int, tuple[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]]]
+    halves: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]  # pair -> edges s->anchor, t->anchor
     supply: dict[tuple[int, int], list[tuple[int, ...]]]  # (a<b) -> edges a->b
     trace_of: dict[int, tuple[int, ...]]  # pair -> trace from s-anchor to t-anchor
 
@@ -309,12 +298,12 @@ class Signature(Mapping[Config, ComponentWitness]):
         edge_ids, pair_indices, anchors = self._edge_ids, self._pair_indices, self._anchors
         walks = iter([tuple(edge_ids[e] for e in path) for path in paths])
         internal: dict[int, tuple[int, ...]] = {}
-        halves: dict[int, tuple[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]]] = {}
+        halves: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         for j, hop in zip(pair_indices, routing):
             if hop is None:
                 internal[j] = next(walks)
             else:
-                halves[j] = ((next(walks), anchors[hop[0]]), (next(walks), anchors[hop[1]]))
+                halves[j] = (next(walks), next(walks))
         return ComponentWitness(
             internal=internal,
             halves=halves,
@@ -444,26 +433,6 @@ def component_signature(
     return Signature(configs, protos, edge_ids, pair_indices, anchors)
 
 
-def config_demand(config: Config, a: int, b: int) -> int:
-    alpha, _ = config
-    lo, hi = (a, b) if a < b else (b, a)
-    count = 0
-    for trace in alpha:
-        for u, v in zip(trace, trace[1:]):
-            if (min(u, v), max(u, v)) == (lo, hi):
-                count += 1
-    return count
-
-
-def config_supply(config: Config, a: int, b: int) -> int:
-    _, beta = config
-    lo, hi = (a, b) if a < b else (b, a)
-    for key, count in beta:
-        if key == (lo, hi):
-            return count
-    return 0
-
-
 @dataclass
 class SelectorProgram:
     """Integer feasibility program choosing one configuration per component."""
@@ -543,8 +512,8 @@ def build_selector_program(
     for pair, rows in rows_of.items():
         for r in rows:
             bounds[r] += direct.get(pair, 0)
-    # A pair's coefficient is config_demand - config_supply of the
-    # variable's configuration, and a cut's the sum of its pairs'; each
+    # A pair's coefficient is the variable configuration's net demand on
+    # it (`_net_demand`), and a cut's the sum of its pairs'; each
     # configuration is read once for all rows.
     for v, (_, cfg) in enumerate(variables):
         for pair, d in _net_demand(cfg).items():
@@ -659,7 +628,7 @@ def solve_fracture(inst: EdpInstance, kmax: int) -> SolveResult:
         for j, edges in sorted(wit.internal.items()):
             walks[j] = edges
         for j in sorted(wit.trace_of):
-            (s_edges, _), (t_edges, _) = wit.halves[j]
+            s_edges, t_edges = wit.halves[j]
             trace = wit.trace_of[j]
             parts: list[int] = list(s_edges)
             for u, v in zip(trace, trace[1:]):

@@ -124,15 +124,6 @@ class Matching:
         return sum(w[e] for e in self.pairs)
 
 
-def connected_components(g: Multigraph) -> list[set[int]]:
-    """Partition of 1..n into maximal connected vertex sets.
-
-    Edge direction is ignored.  Components are ordered by their smallest
-    vertex id.
-    """
-    return components_excluding(g, ())
-
-
 def components_excluding(g: Multigraph, removed: Iterable[int]) -> list[set[int]]:
     """Connected components of g minus a vertex set, removed vertices omitted.
 

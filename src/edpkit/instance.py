@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from edpkit.graph import Multigraph
 
@@ -250,8 +250,10 @@ def parse_instance(text: str) -> EdpInstance | MultiDemandInstance:
 
 def parse_solution(text: str) -> tuple[str, PathSet]:
     """Parse a solution file: "s yes" or "s no", then on yes one line
-    "path <i>: <edge> ..." per pair, in pair order, with 1-based edge indices."""
+    "path <i>: <edge> ..." per pair, in pair order, with 1-based edge indices.
+    A "no" file has no path lines."""
     verdict = ""
+    verdict_line = path_line = 1  # where a bad verdict or a first path line sits
     paths: list[tuple[int, ...]] = []
     for line_no, fields in _lines(text):
         if fields[0] == "s":
@@ -259,7 +261,7 @@ def parse_solution(text: str) -> tuple[str, PathSet]:
                 raise ParseError(line_no, "duplicate verdict line")
             if len(fields) != 2:
                 raise _malformed(line_no, "verdict line", fields)
-            verdict = fields[1]
+            verdict, verdict_line = fields[1], line_no
         elif fields[0] == "path":
             head, _, body = " ".join(fields[1:]).partition(":")
             try:
@@ -269,11 +271,15 @@ def parse_solution(text: str) -> tuple[str, PathSet]:
                 raise _malformed(line_no, "path line", fields) from None
             if idx != len(paths) + 1:
                 raise ParseError(line_no, f"paths out of order (got {idx})")
+            if not paths:
+                path_line = line_no
             paths.append(edges)
         else:
             raise ParseError(line_no, f"unknown solution line: {' '.join(fields)!r}")
     if verdict not in ("yes", "no"):
-        raise ParseError(1, "missing or malformed verdict line")
+        raise ParseError(verdict_line, "missing or malformed verdict line")
+    if verdict == "no" and paths:
+        raise ParseError(path_line, 'path line in a "no" solution')
     return verdict, PathSet(tuple(paths))
 
 
@@ -311,37 +317,11 @@ def denormalize_paths(original: EdpInstance, sol: PathSet) -> PathSet:
     """Map walks of normalize_instance(original) back onto original.
 
     Normalization keeps the original edges and appends at most one leaf edge
-    per terminal occurrence; those leaf edges sit at walk ends and are
-    dropped.
+    per terminal occurrence; those leaf edges, the indices from
+    original.g.m on, sit at walk ends and are dropped.
     """
     m = original.g.m
-    origin = tuple(range(m)) + (None,) * (2 * len(original.pairs))
-    return PathSet(map_paths(sol.paths, origin))
-
-
-def subdivide_edges(
-    edges: Sequence[tuple[int, int]], splits: Mapping[int, tuple[int, int]]
-) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
-    """Split edges through fresh midpoints.
-
-    splits maps an edge index to (near, mid): that edge {near, far} becomes
-    (near, mid) followed by (mid, far); every other edge is kept as it is.
-    Returns the new edge list and, per new edge, the index of the edge it
-    came from, in the form map_paths reads.
-    """
-    new_edges: list[tuple[int, int]] = []
-    origin: list[int] = []
-    for idx, edge in enumerate(edges):
-        if idx in splits:
-            near, mid = splits[idx]
-            u, v = edge
-            new_edges.append((near, mid))
-            new_edges.append((mid, v if near == u else u))
-            origin.extend((idx, idx))
-        else:
-            new_edges.append(edge)  # the same tuple: no allocation per kept edge
-            origin.append(idx)
-    return new_edges, tuple(origin)
+    return PathSet(tuple(tuple(e for e in path if e < m) for path in sol.paths))
 
 
 def map_paths(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from edpkit.graph import Multigraph, find_fvs_one, matching_max_cover
 from edpkit.instance import (
@@ -29,7 +29,6 @@ from edpkit.instance import (
     TerminalPair,
     certify,
     normalize_instance,
-    subdivide_edges,
 )
 
 
@@ -75,13 +74,37 @@ class SedpInstance:
     children: dict[int, tuple[int, ...]]  # ascending
     post_order: tuple[int, ...]
     tree_slice: dict[int, slice]  # root -> its tree's vertices in post_order
-    tree_of: list[int]  # vertex -> root of its tree
     x_edge_of: dict[int, int]  # forest leaf -> its unique edge index to x
     pair_of: dict[int, int]  # terminal -> pair index
     edge_origin: tuple[int | None, ...]  # prepared edge -> source edge index
     # Inner vertex with two or more children -> what the label pass decided
     # there and realization reads; realization drops each entry it reads.
     decisions: dict[int, _Decision] = field(default_factory=dict)
+
+
+def subdivide_edges(
+    edges: Sequence[tuple[int, int]], splits: Mapping[int, tuple[int, int]]
+) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
+    """Split edges through fresh midpoints.
+
+    splits maps an edge index to (near, mid): that edge {near, far} becomes
+    (near, mid) followed by (mid, far); every other edge is kept as it is.
+    Returns the new edge list and, per new edge, the index of the edge it
+    came from, in the form map_paths reads.
+    """
+    new_edges: list[tuple[int, int]] = []
+    origin: list[int] = []
+    for idx, edge in enumerate(edges):
+        if idx in splits:
+            near, mid = splits[idx]
+            u, v = edge
+            new_edges.append((near, mid))
+            new_edges.append((mid, v if near == u else u))
+            origin.extend((idx, idx))
+        else:
+            new_edges.append(edge)  # the same tuple: no allocation per kept edge
+            origin.append(idx)
+    return new_edges, tuple(origin)
 
 
 def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
@@ -203,7 +226,6 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
         x_edge_of[b if a == x else a] = e
     assert len(x_edge_of) == len(incident[x]), "vertex with several x-edges survived preparation"
     parent_edge = [-1] * (next_id + 1)
-    tree_of = [0] * (next_id + 1)
     children: dict[int, tuple[int, ...]] = dict.fromkeys(range(1, next_id + 1), ())
     del children[x]
     walk: list[int] = []
@@ -214,7 +236,6 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
         while stack:
             v = stack.pop()
             walk.append(v)
-            tree_of[v] = root
             up = parent_edge[v]
             below = []
             for e in incident[v]:
@@ -248,7 +269,6 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
         children=children,
         post_order=tuple(walk),
         tree_slice=tree_slice,
-        tree_of=tree_of,
         x_edge_of=x_edge_of,
         pair_of=pair_of,
         edge_origin=origin,
@@ -368,11 +388,6 @@ def labels_for_tree(prep: SedpInstance, root: int) -> dict[int, LabelSet]:
     for v in prep.post_order[prep.tree_slice[root]]:
         labels[v] = compute_labels(prep, v, labels)
     return labels
-
-
-def tree_gamma_empty(prep: SedpInstance, root: int) -> bool:
-    """Whether the whole tree can route all of its terminal pairs locally."""
-    return labels_for_tree(prep, root)[root].gamma_empty
 
 
 class _Path(NamedTuple):

@@ -530,15 +530,6 @@ def _glued_ends(
     return tuple(sorted(out))
 
 
-def record_space_bound(bag_size: int, delta: int, open_terminals: int) -> int:
-    """Instantiated size bound for one table, from the record shape."""
-    pairs = bag_size * (bag_size - 1) // 2
-    used_choices = (delta + 1) ** pairs
-    give_choices = (delta + 1) ** pairs
-    single_choices = max(bag_size, 1) ** min(open_terminals, delta * max(bag_size, 1))
-    return used_choices * give_choices * single_choices
-
-
 def compute_tables(
     work: EdpInstance,
     nice: NiceTreeDecomposition,

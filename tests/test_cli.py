@@ -315,6 +315,26 @@ def test_verify_rejects_extra_verdict_fields(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "sol_text, message",
+    [
+        ("c a comment\n\ns maybe\n", "line 3: missing or malformed verdict line"),
+        ("c no verdict at all\n", "line 1: missing or malformed verdict line"),
+        ("s no\npath 1: 1 2 3\n", 'line 2: path line in a "no" solution'),
+        ("path 1: 1 2 3\ns no\n", 'line 1: path line in a "no" solution'),
+    ],
+    ids=["unknown-verdict-names-its-line", "missing-verdict", "no-then-path", "path-then-no"],
+)
+def test_verify_rejects_a_bad_verdict_at_its_line(tmp_path, capsys, sol_text, message):
+    # A "no" file carries no paths; one that does used to pass as "no".
+    inst = write(tmp_path, "p4.edp", P4)
+    sol = write(tmp_path, "p4.sol", sol_text)
+    with pytest.raises(ParseError, match=message):
+        parse_solution(sol_text)
+    assert main(["verify", str(inst), str(sol)]) == EXIT_USAGE
+    capsys.readouterr()
+
+
 def test_unwritable_solution_path_exits_usage(tmp_path, capsys):
     # An OSError writing the solution is a usage error, not an internal one.
     inst = write(tmp_path, "p4.edp", P4)

@@ -13,9 +13,8 @@ from edpkit.fracture import (
     SignatureMemo,
     build_selector_program,
     component_signature,
-    config_demand,
-    config_supply,
     _dfs_collect,
+    _net_demand,
     find_fracture_modulator,
     pack_connected_sets,
     solve_fracture,
@@ -106,6 +105,18 @@ def test_modulator_approx_contract(rng):
             if approx is not None:
                 assert approx.k <= max((k + 1) * k, 1)
                 assert fracture_modulator_valid(g, approx.vertices)
+
+
+def test_modulator_approx_output_pinned():
+    # Vertex 1 lies in a component of two vertices, small for k >= 2;
+    # two oversized components come after it.  Each is cut by the
+    # first k + 1 vertices of a DFS from its lowest vertex, in edge-index
+    # order (3 reaches 7 before 4, 8 reaches 9 and then 11).
+    g = Multigraph(11, [(1, 2), (3, 7), (3, 4), (4, 5), (5, 6), (8, 9), (9, 10), (8, 11)])
+    assert find_fracture_modulator(g, 2, "approx").vertices == frozenset({3, 4, 7, 8, 9, 11})
+    assert find_fracture_modulator(g, 3, "approx").vertices == frozenset({3, 4, 5, 7, 8, 9, 10, 11})
+    # Under k = 1 the pair {1, 2} is oversized too: three sets for one deletion.
+    assert find_fracture_modulator(g, 1, "approx") is None
 
 
 def test_forbidden_vertices_need_exact_mode():
@@ -339,8 +350,8 @@ def test_selector_program_examples():
     # demand/supply arithmetic
     cfg_pair = (((6, 7),), ())
     cfg_supply = ((), (((6, 7), 1),))
-    assert config_demand(cfg_pair, 6, 7) == 1 and config_supply(cfg_pair, 6, 7) == 0
-    assert config_demand(cfg_supply, 6, 7) == 0 and config_supply(cfg_supply, 6, 7) == 1
+    assert _net_demand(cfg_pair)[(6, 7)] == 1
+    assert _net_demand(cfg_supply)[(6, 7)] == -1
 
 
 def test_selector_rows_are_demand_minus_supply(rng):
@@ -362,7 +373,7 @@ def test_selector_rows_are_demand_minus_supply(rng):
         mod = sorted(x0.vertices)
         for i, a in enumerate(mod):
             for b in mod[i + 1 :]:
-                coeffs = tuple(config_demand(cfg, a, b) - config_supply(cfg, a, b) for _, cfg in sel.variables)
+                coeffs = tuple(_net_demand(cfg)[(a, b)] for _, cfg in sel.variables)
                 if any(coeffs):
                     # Each graph edge a-b is one supplied path.
                     want.append((coeffs, sum(1 for e in inst.g.edges if set(e) == {a, b})))
@@ -383,7 +394,7 @@ def test_selector_rows_are_demand_minus_supply(rng):
                 side = {mod[0], *rest}
                 across = [(a, b) for a, b in combinations(mod, 2) if (a in side) != (b in side)]
                 coeffs = [
-                    sum(config_demand(cfg, a, b) - config_supply(cfg, a, b) for a, b in across)
+                    sum(_net_demand(cfg)[(a, b)] for a, b in across)
                     for _, cfg in sel.variables
                 ]
                 bound = sum(direct[pair] for pair in across)

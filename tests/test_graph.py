@@ -2,7 +2,6 @@ from itertools import combinations
 
 from edpkit.graph import (
     Multigraph,
-    connected_components,
     components_excluding,
     find_fvs_one,
     is_forest,
@@ -45,16 +44,16 @@ def test_multigraph_rejects_bad_input():
 
 
 def test_connected_components_examples():
-    assert connected_components(Multigraph(4, [(1, 2), (3, 4)])) == [{1, 2}, {3, 4}]
-    assert connected_components(Multigraph(3, [])) == [{1}, {2}, {3}]
+    assert components_excluding(Multigraph(4, [(1, 2), (3, 4)]), ()) == [{1, 2}, {3, 4}]
+    assert components_excluding(Multigraph(3, []), ()) == [{1}, {2}, {3}]
     tri_plus = Multigraph(4, [(1, 2), (2, 3), (1, 3)])
-    assert connected_components(tri_plus) == [{1, 2, 3}, {4}]
+    assert components_excluding(tri_plus, ()) == [{1, 2, 3}, {4}]
 
 
 def test_components_partition_property(rng):
     for _ in range(100):
         g = random_multigraph(rng)
-        comps = connected_components(g)
+        comps = components_excluding(g, ())
         seen = sorted(v for c in comps for v in c)
         assert seen == list(range(1, g.n + 1))
         where = {v: i for i, c in enumerate(comps) for v in c}
@@ -158,5 +157,5 @@ def test_components_excluding():
 def test_components_excluding_matches_subgraph(g, removed):
     # Same components in the same order as the components of the subgraph
     # g - removed, whose removed vertices are isolated placeholders.
-    sub = connected_components(g.without_vertices(removed))
+    sub = components_excluding(g.without_vertices(removed), ())
     assert components_excluding(g, removed) == [c for c in sub if not c <= removed]

@@ -25,13 +25,12 @@ from edpkit.instance import (
     normalize_instance,
     parse_instance,
     shortcut_walk,
-    subdivide_edges,
     verify_solution,
     walk_endpoints,
     write_instance,
 )
 from edpkit.oracle import brute_force_edp
-from edpkit.sedp import solve_sedp
+from edpkit.sedp import solve_sedp, subdivide_edges
 from edpkit.twdp import solve_twdp
 
 from conftest import multigraphs, random_normalized_instance, random_multigraph
@@ -260,7 +259,7 @@ def test_certificate_check_survives_optimize():
         from edpkit.graph import Multigraph
         from edpkit.instance import CertificateError, EdpInstance, TerminalPair, Verdict
         from edpkit.oracle import brute_force_edp
-        from edpkit.sedp import solve_sedp
+        from edpkit.sedp import solve_sedp, subdivide_edges
         from edpkit.twdp import solve_twdp
 
         if __debug__:

@@ -13,11 +13,15 @@ from edpkit.sedp import (
     labels_for_tree,
     prepare_sedp,
     solve_sedp,
-    tree_gamma_empty,
 )
 
 from conftest import random_fvs1_instance, star_of_paths
 from def2_oracle import definition_labels, subtree_vertices
+
+
+def tree_root(prep, v):
+    """The root of the tree of prep's forest that holds v."""
+    return next(r for r in prep.roots if v in prep.post_order[prep.tree_slice[r]])
 
 
 def all_labels(prep):
@@ -136,18 +140,20 @@ def test_tree_gamma_empty_examples():
     g = Multigraph(5, [(1, 2), (2, 3), (2, 4)])
     inst = EdpInstance(g, (TerminalPair(3, 4),))
     prep = prepare_sedp(inst, 5)
-    root = prep.tree_of[3]
-    assert tree_gamma_empty(prep, root)
+    root = tree_root(prep, 3)
+    assert labels_for_tree(prep, root)[root].gamma_empty
     # terminal cannot escape: no x-edge anywhere and partner outside
     g = Multigraph(5, [(1, 2), (2, 3), (4, 5)])
     inst = EdpInstance(g, (TerminalPair(1, 4),))
     prep = prepare_sedp(inst, 5)
-    assert not tree_gamma_empty(prep, prep.tree_of[1])
+    root = tree_root(prep, 1)
+    assert not labels_for_tree(prep, root)[root].gamma_empty
     # no terminals: trivially connected
     g = Multigraph(3, [(1, 2)])
     inst = EdpInstance(g, ())
     prep = prepare_sedp(inst, 3)
-    assert tree_gamma_empty(prep, prep.tree_of[1])
+    root = tree_root(prep, 1)
+    assert labels_for_tree(prep, root)[root].gamma_empty
 
 
 def test_solve_examples():

@@ -24,7 +24,6 @@ from edpkit.twdp import (
     _Context,
     _record,
     compute_tables,
-    record_space_bound,
     solve_twdp,
 )
 
@@ -193,6 +192,15 @@ def test_oracle_agreement(rng):
         assert want.status == got.status, (inst.g.edges, inst.pairs)
         if got.is_yes:
             assert verify_solution(inst, got.paths).ok
+
+
+def record_space_bound(bag_size: int, delta: int, open_terminals: int) -> int:
+    """Instantiated size bound for one table, from the record shape."""
+    pairs = bag_size * (bag_size - 1) // 2
+    used_choices = (delta + 1) ** pairs
+    give_choices = (delta + 1) ** pairs
+    single_choices = max(bag_size, 1) ** min(open_terminals, delta * max(bag_size, 1))
+    return used_choices * give_choices * single_choices
 
 
 def test_record_soundness_and_size_bounds(rng):
