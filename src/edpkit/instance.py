@@ -313,37 +313,6 @@ def normalize_instance(inst: EdpInstance) -> EdpInstance:
     return inst if inst.normalized else inst._normal_form
 
 
-def denormalize_paths(original: EdpInstance, sol: PathSet) -> PathSet:
-    """Map walks of normalize_instance(original) back onto original.
-
-    Normalization keeps the original edges and appends at most one leaf edge
-    per terminal occurrence; those leaf edges, the indices from
-    original.g.m on, sit at walk ends and are dropped.
-    """
-    m = original.g.m
-    return PathSet(tuple(tuple(e for e in path if e < m) for path in sol.paths))
-
-
-def map_paths(
-    paths: Iterable[Sequence[int]], origin: Sequence[int | None]
-) -> tuple[tuple[int, ...], ...]:
-    """Carry edge-index paths back through a rewrite.
-
-    origin[e] is the source edge of rewritten edge e, or None for an edge
-    the rewrite added.  None entries are dropped and consecutive repeats
-    (the halves of one subdivided edge) collapse into one edge.
-    """
-    mapped = []
-    for path in paths:
-        out: list[int] = []
-        for e in path:
-            src = origin[e]
-            if src is not None and (not out or out[-1] != src):
-                out.append(src)
-        mapped.append(tuple(out))
-    return tuple(mapped)
-
-
 def augmented_graph(inst: EdpInstance) -> Multigraph:
     """The instance graph with one extra edge per terminal pair, in pair order."""
     # The instance checked its edges, and a pair's ends are in range and
@@ -371,7 +340,7 @@ def walk_endpoints(g: Multigraph, path: Iterable[int], start: int) -> int | None
 def verify_solution(inst: EdpInstance, sol: PathSet) -> Verdict:
     """Check a path set: endpoints per pair, consecutive incidence, global
     edge-disjointness.  Edge-simple walks are accepted; the first violated
-    condition is reported.
+    condition is reported, naming an edge e as solution files do (e + 1).
     """
     if len(sol.paths) != len(inst.pairs):
         return Verdict(False, f"expected {len(inst.pairs)} paths, got {len(sol.paths)}")
@@ -379,10 +348,10 @@ def verify_solution(inst: EdpInstance, sol: PathSet) -> Verdict:
     for i, (pair, path) in enumerate(zip(inst.pairs, sol.paths), start=1):
         for e in path:
             if not (0 <= e < inst.g.m):
-                return Verdict(False, f"path {i}: edge index {e} out of range")
+                return Verdict(False, f"path {i}: edge index {e + 1} out of range")
         for e in path:
             if e in used:
-                return Verdict(False, f"edge reused: {e}")
+                return Verdict(False, f"edge reused: {e + 1}")
             used.add(e)
         if not path:
             return Verdict(False, f"path {i}: empty path for pair ({pair.s}, {pair.t})")
@@ -394,25 +363,28 @@ def verify_solution(inst: EdpInstance, sol: PathSet) -> Verdict:
     return Verdict(True)
 
 
-def certify(
-    engine: str, inst: EdpInstance, walks: Iterable[Sequence[int]], origin: Sequence[int | None] | None = None
-) -> PathSet:
+def certify(engine: str, inst: EdpInstance, walks: Iterable[Sequence[int]]) -> PathSet:
     """Turn an engine's walks into a verified solution of inst; every
     plain-EDP "yes" is built here.  walks holds one edge-simple walk per
-    pair, in pair order, from the pair's s on the engine's graph: inst,
-    normalize_instance(inst), or a rewrite of the latter whose edge e comes
-    from its edge origin[e] (None for an added edge).  The walks are mapped
-    through origin and denormalize_paths, shortcut and verified once, on
-    inst.  A failure raises CertificateError, which `python -O` keeps."""
-    # An edge index out of range, an edge that does not continue its walk,
-    # or a walk count other than the pair count stops the mapping or the
+    pair, in pair order, from the pair's s on the engine's graph: inst or
+    a rewrite that keeps every edge e of inst at index e and appends the
+    edges it adds.  normalize_instance appends one leaf edge per moved
+    terminal; sedp's preparation appends leaf edges and, per x-edge it
+    moves onto a fresh leaf, the edge from the forest end to that leaf.
+    Each index at or past inst.g.m is dropped, which leaves walks on inst;
+    they are shortcut and verified once, on inst.  A failure raises
+    CertificateError, which `python -O` keeps."""
+    # A negative index past the edge list, an edge that does not continue
+    # its walk, or a walk count other than the pair count stops the
     # shortcut; verify_solution checks the rest.
+    m = inst.g.m
     try:
-        if origin is not None:
-            walks = map_paths(walks, origin)
-        if not inst.normalized:
-            walks = denormalize_paths(inst, PathSet(tuple(walks))).paths
-        sol = PathSet(tuple(shortcut_walk(inst.g, w, p.s) for w, p in zip(walks, inst.pairs, strict=True)))
+        sol = PathSet(
+            tuple(
+                shortcut_walk(inst.g, [e for e in w if e < m], p.s)
+                for w, p in zip(walks, inst.pairs, strict=True)
+            )
+        )
     except IndexError:
         raise CertificateError(f"{engine} produced an invalid certificate: edge index out of range") from None
     except ValueError as exc:

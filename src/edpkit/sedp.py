@@ -18,9 +18,8 @@ the delivering child.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from edpkit.graph import Multigraph, find_fvs_one, matching_max_cover
 from edpkit.instance import (
@@ -65,7 +64,7 @@ _Decision = tuple[_NodePlan, tuple[tuple[int, int], ...], dict[int, int]]
 @dataclass
 class SedpInstance:
     """A prepared instance: rewritten graph, rooted forest of g - x, and the
-    bookkeeping needed to translate solutions back to the input instance."""
+    bookkeeping the label pass and realization read."""
 
     inst: EdpInstance
     x: int
@@ -76,35 +75,9 @@ class SedpInstance:
     tree_slice: dict[int, slice]  # root -> its tree's vertices in post_order
     x_edge_of: dict[int, int]  # forest leaf -> its unique edge index to x
     pair_of: dict[int, int]  # terminal -> pair index
-    edge_origin: tuple[int | None, ...]  # prepared edge -> source edge index
     # Inner vertex with two or more children -> what the label pass decided
     # there and realization reads; realization drops each entry it reads.
     decisions: dict[int, _Decision] = field(default_factory=dict)
-
-
-def subdivide_edges(
-    edges: Sequence[tuple[int, int]], splits: Mapping[int, tuple[int, int]]
-) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
-    """Split edges through fresh midpoints.
-
-    splits maps an edge index to (near, mid): that edge {near, far} becomes
-    (near, mid) followed by (mid, far); every other edge is kept as it is.
-    Returns the new edge list and, per new edge, the index of the edge it
-    came from, in the form map_paths reads.
-    """
-    new_edges: list[tuple[int, int]] = []
-    origin: list[int] = []
-    for idx, edge in enumerate(edges):
-        if idx in splits:
-            near, mid = splits[idx]
-            u, v = edge
-            new_edges.append((near, mid))
-            new_edges.append((mid, v if near == u else u))
-            origin.extend((idx, idx))
-        else:
-            new_edges.append(edge)  # the same tuple: no allocation per kept edge
-            origin.append(idx)
-    return new_edges, tuple(origin)
 
 
 def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
@@ -115,6 +88,12 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
     replacing x as a terminal (if needed), then per-tree root leaves (trees
     ordered by smallest vertex), then one gadget leaf per rewritten x-edge,
     ordered by the edge's forest endpoint and then by edge index.
+
+    Every edge e of inst stays at index e, so a walk on the prepared graph
+    maps back to inst by dropping each index from inst.g.m on (the rule
+    `certify` applies).  A rewritten x-edge e = {v, x} keeps index e with
+    v replaced by its gadget leaf l, and its other half (v, l) is appended;
+    so are the edges of the x-terminal leaf and of the fresh root leaves.
     """
     g = inst.g
     if not (1 <= x <= g.n):
@@ -125,7 +104,7 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
     pairs: list[TerminalPair] = list(inst.pairs)
     terminals = {v for p in pairs for v in p.members()}
     next_id = n
-    new_edges: list[tuple[int, int]] = []  # appended after g's edges
+    edges = list(g_edges)  # added edges are appended
 
     # (2) x must not be a terminal: a fresh leaf takes its place in P and
     # forms the last tree.
@@ -134,7 +113,7 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
         if x in p.members():
             next_id += 1
             x_leaf = next_id
-            new_edges.append((x_leaf, x))
+            edges.append((x_leaf, x))
             pairs[j] = TerminalPair(x_leaf, p.t) if p.s == x else TerminalPair(p.s, x_leaf)
             break  # normalized: x occurs in at most one pair
 
@@ -190,28 +169,24 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
             # Normalization forbids adjacent terminals, so a multi-vertex
             # tree always has a non-terminal vertex to hang the root off.
             next_id += 1
-            new_edges.append((anchor, next_id))
+            edges.append((anchor, next_id))
             roots.append(next_id)
             anchors.add(anchor)
     if x_leaf:
         roots.append(x_leaf)
 
     # (1) x-edges may only reach forest leaves, one edge each.  Offending
-    # x-edges are re-routed through a fresh leaf: the edge (n, x) becomes
-    # (n, l) plus (l, x), both remembering the original edge.  Multi-vertex
-    # tree roots are never x-adjacent by the selection rule above, and a
+    # x-edges are re-routed through a fresh leaf l: the edge (v, x) becomes
+    # (l, x) at its own index, and (v, l) is appended.  Multi-vertex tree
+    # roots are never x-adjacent by the selection rule above, and a
     # single-vertex tree's root is a forest leaf, so only the tree degree
     # and the number of x-edges matter here.
-    rerouted: dict[int, tuple[int, int]] = {}  # edge index -> (forest end, gadget leaf)
     for v, e in x_ends:
         k = x_count[v]
         if k >= 2 or len(incident[v]) - k + (v in anchors) >= 2:
             next_id += 1
-            rerouted[e] = (v, next_id)
-    edges, source = subdivide_edges(g_edges + tuple(new_edges), rerouted)
-    # Edges from g.m on are the leaves added above; they have no source edge.
-    kept = bisect_left(source, g.m)
-    origin = source[:kept] + (None,) * (len(source) - kept)
+            edges[e] = (x, next_id) if g_edges[e][0] == x else (next_id, x)
+            edges.append((v, next_id))
 
     prepared_graph = Multigraph._from_checked(next_id, edges)
     prepared = EdpInstance(prepared_graph, tuple(pairs))
@@ -271,7 +246,6 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
         tree_slice=tree_slice,
         x_edge_of=x_edge_of,
         pair_of=pair_of,
-        edge_origin=origin,
     )
 
 
@@ -533,4 +507,4 @@ def solve_sedp(inst: EdpInstance, x: int | None = None) -> SolveResult:
             pt = by_terminal[p.t]
             walk += pt.edges[::-1] if pt.a == p.t else pt.edges
         walks.append(walk)
-    return SolveResult("yes", certify("sedp", inst, walks, prep.edge_origin))
+    return SolveResult("yes", certify("sedp", inst, walks))

@@ -293,6 +293,23 @@ def test_verify_rejects_tampered(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "path_line, reason",
+    [
+        ("path 1: 1 9", "path 1: edge index 9 out of range"),
+        ("path 1: 1 1 2", "edge reused: 1"),
+        ("path 1: 0", "path 1: edge index 0 out of range"),
+    ],
+    ids=["past-the-last-edge", "reused", "zero"],
+)
+def test_verify_names_edges_as_the_file_does(tmp_path, capsys, path_line, reason):
+    # Solution files number edges from 1, and so does every rejection.
+    inst = write(tmp_path, "p3.edp", "p edp 3 2 1\ne 1 2\ne 2 3\nt 1 3\n")
+    sol = write(tmp_path, "p3.sol", f"s yes\n{path_line}\n")
+    assert main(["verify", str(inst), str(sol)]) == EXIT_NO
+    assert capsys.readouterr().out == f"rejected: {reason}\n"
+
+
+@pytest.mark.parametrize(
     "sol_text", ["s no\npath 1: 1 2 3\ns yes\n", "s yes\npath 1: 1 2 3\ns no\n"], ids=["no-then-yes", "yes-then-no"]
 )
 def test_verify_rejects_a_second_verdict_line(tmp_path, capsys, sol_text):

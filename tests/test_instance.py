@@ -20,8 +20,6 @@ from edpkit.instance import (
     TerminalPair,
     augmented_graph,
     certify,
-    denormalize_paths,
-    map_paths,
     normalize_instance,
     parse_instance,
     shortcut_walk,
@@ -30,7 +28,7 @@ from edpkit.instance import (
     write_instance,
 )
 from edpkit.oracle import brute_force_edp
-from edpkit.sedp import solve_sedp, subdivide_edges
+from edpkit.sedp import solve_sedp
 from edpkit.twdp import solve_twdp
 
 from conftest import multigraphs, random_normalized_instance, random_multigraph
@@ -203,26 +201,16 @@ def test_verified_solution_certifies_yes(rng):
 
 
 def test_denormalize_paths():
+    # Walks of the normal form map back through certify: the leaf edges
+    # that normalization appends, indices 3 and 4, are dropped.
     tri = EdpInstance(Multigraph(3, [(1, 2), (2, 3), (1, 3)]), (TerminalPair(1, 2),))
     norm = normalize_instance(tri)
+    assert norm.g.edges[3:] == ((1, 4), (2, 5))
     result = brute_force_edp(norm)
     assert result.is_yes
-    back = denormalize_paths(tri, result.paths)
-    assert verify_solution(tri, back).ok
-
-
-def test_subdivide_edges_and_map_paths():
-    edges, origin = subdivide_edges([(1, 2), (2, 3), (3, 1)], {0: (2, 4), 2: (3, 5)})
-    assert edges == [(2, 4), (4, 1), (2, 3), (3, 5), (5, 1)]
-    assert origin == (0, 0, 1, 2, 2)
-    # The cycle 1-2-3-1 walked over the halves maps back to edges 0, 1, 2.
-    assert map_paths([(1, 0, 2, 3, 4)], origin) == ((0, 1, 2),)
-    # Added edges (origin None) are dropped; maps compose.
-    assert map_paths([(5, 1, 0, 6)], origin + (None, None)) == ((0,),)
-    outer = (7, 7, 8)
-    assert map_paths(map_paths([(0, 1, 2, 3)], origin), outer) == map_paths(
-        [(0, 1, 2, 3)], tuple(outer[e] for e in origin)
-    ) == ((7, 8),)
+    assert verify_solution(tri, certify("test", tri, result.paths.paths)).ok
+    # The walk 4-1-3-2-5 of the normal form is the path 1-3-2 of tri.
+    assert certify("test", tri, [(3, 2, 1, 4)]) == PathSet(((2, 1),))
 
 
 def test_shortcut_walk():
@@ -259,7 +247,7 @@ def test_certificate_check_survives_optimize():
         from edpkit.graph import Multigraph
         from edpkit.instance import CertificateError, EdpInstance, TerminalPair, Verdict
         from edpkit.oracle import brute_force_edp
-        from edpkit.sedp import solve_sedp, subdivide_edges
+        from edpkit.sedp import solve_sedp
         from edpkit.twdp import solve_twdp
 
         if __debug__:

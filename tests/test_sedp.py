@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
@@ -47,9 +48,8 @@ def test_prepare_reroutes_internal_x_edges():
     assert all(not prep.children[v] or v not in prep.x_edge_of for v in prep.children)
     leaf = next(v for v, e in prep.x_edge_of.items() if prep.inst.g.n >= v > 5)
     assert prep.inst.g.degree(leaf) == 2  # edge to its anchor plus the x-edge
-    # the rerouted edge remembers its source for path translation
-    e = prep.x_edge_of[leaf]
-    assert prep.edge_origin[e] == 3
+    # the rerouted edge keeps its index, which is how walks map back
+    assert prep.x_edge_of[leaf] == 3
 
 
 def test_prepare_gadget_leaves_follow_forest_endpoint():
@@ -57,7 +57,37 @@ def test_prepare_gadget_leaves_follow_forest_endpoint():
     # gadget leaves go by forest endpoint first, so edge 1 gets leaf 7.
     g = Multigraph(6, [(5, 1), (3, 1), (2, 3), (3, 4), (4, 5), (5, 6)])
     prep = prepare_sedp(EdpInstance(g, ()), 1)
-    assert {leaf: prep.edge_origin[e] for leaf, e in prep.x_edge_of.items()} == {7: 1, 8: 0}
+    assert prep.x_edge_of == {7: 1, 8: 0}
+
+
+def test_prepared_edges_keep_their_index(rng):
+    # certify maps sedp's walks back to the normal form by dropping each
+    # index from work.g.m on.  That holds because every edge e < work.g.m
+    # stays at index e, either as it was or, for a rerouted x-edge, with its
+    # forest end replaced by its gadget leaf; every added edge is appended.
+    seen = Counter()
+    for _ in range(300):
+        work = random_fvs1_instance(rng)
+        n, m = work.g.n, work.g.m
+        for x in range(1, n + 1):  # every feedback vertex, terminals included
+            try:
+                prep = prepare_sedp(work, x)
+            except ValueError:
+                continue
+            edges = prep.inst.g.edges
+            leaf_of = {e: leaf for leaf, e in prep.x_edge_of.items()}
+            for e, (a, b) in enumerate(work.g.edges):
+                if edges[e] == (a, b):
+                    continue
+                v, leaf = b if a == x else a, leaf_of.get(e, 0)
+                assert leaf > n and edges[e] == tuple(leaf if w == v else w for w in (a, b)), (work, x, e)
+                assert edges.count((v, leaf)) == 1 and edges.index((v, leaf)) >= m
+                seen["rerouted"] += 1
+            # Each appended edge hangs off a fresh vertex.
+            assert all(max(edge) > n for edge in edges[m:]), (work, x)
+            seen["terminal x"] += x in work.terminals
+            seen["fresh root"] += any(r > n and r not in prep.pair_of for r in prep.roots)
+    assert min(seen[k] for k in ("rerouted", "terminal x", "fresh root")) > 0, seen
 
 
 def test_prepare_replaces_terminal_x():
