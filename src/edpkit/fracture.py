@@ -26,8 +26,9 @@ is one call of the path search `oracle._route_all` on the multigraph of the
 component and the modulator vertices next to it.  That set depends only on
 the component's shape (that multigraph and its pairs' ends) and k, so one
 solve decides each shape once and reuses it for every component of that
-shape.  Only the configuration selected for a component gets a witness,
-whose paths become explicit edge-disjoint paths of the instance.
+shape.  Only the configuration selected for a component is turned into
+walks: its proto's paths become explicit edge-disjoint paths of the
+instance.
 """
 
 from __future__ import annotations
@@ -214,16 +215,6 @@ def canonical_trace(seq: tuple[int, ...]) -> Trace:
     return seq if seq <= rev else rev
 
 
-@dataclass
-class ComponentWitness:
-    """One realization of a configuration inside a component."""
-
-    internal: dict[int, tuple[int, ...]]  # pair index -> oriented edges s->t
-    halves: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]  # pair -> edges s->anchor, t->anchor
-    supply: dict[tuple[int, int], list[tuple[int, ...]]]  # (a<b) -> edges a->b
-    trace_of: dict[int, tuple[int, ...]]  # pair -> trace from s-anchor to t-anchor
-
-
 # A component shape: (n, number of anchors, local edges, local pair ends).
 # The component's vertices in sorted order, then its anchors in sorted
 # order, are numbered 1..n; edges are in edge-index order, pairs in
@@ -264,10 +255,11 @@ class SignatureMemo:
         return opts
 
 
-class Signature(Mapping[Config, ComponentWitness]):
-    """The configurations one component admits, in search order.  Each
-    keeps its proto and chosen traces only; looking a configuration up
-    builds its witness in the component's own edges and pairs."""
+class Signature(Mapping[Config, tuple[int, tuple[Trace, ...]]]):
+    """The configurations one component admits, in search order, each with
+    the index of the first proto that gives it and the traces chosen for
+    its routed pairs.  solve_fracture turns the chosen one into walks in
+    the component's own edges and pairs."""
 
     def __init__(
         self,
@@ -289,27 +281,8 @@ class Signature(Mapping[Config, ComponentWitness]):
     def __iter__(self):
         return iter(self._configs)
 
-    def __contains__(self, config: object) -> bool:
-        return config in self._configs
-
-    def __getitem__(self, config: Config) -> ComponentWitness:
-        proto, chosen = self._configs[config]
-        routed, beta, routing, paths = self._protos[proto]
-        edge_ids, pair_indices, anchors = self._edge_ids, self._pair_indices, self._anchors
-        walks = iter([tuple(edge_ids[e] for e in path) for path in paths])
-        internal: dict[int, tuple[int, ...]] = {}
-        halves: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        for j, hop in zip(pair_indices, routing):
-            if hop is None:
-                internal[j] = next(walks)
-            else:
-                halves[j] = (next(walks), next(walks))
-        return ComponentWitness(
-            internal=internal,
-            halves=halves,
-            supply={(anchors[a], anchors[b]): [next(walks) for _ in range(c)] for (a, b), c in beta},
-            trace_of={pair_indices[i]: trace for (i, _, _), trace in zip(routed, chosen)},
-        )
+    def __getitem__(self, config: Config) -> tuple[int, tuple[Trace, ...]]:
+        return self._configs[config]
 
 
 def _paths(g: Multigraph, demands: list[tuple[int, int]]) -> list[tuple[int, ...]] | None:
@@ -397,8 +370,8 @@ def component_signature(
     x: FractureModulator,
     memo: SignatureMemo | None = None,
 ) -> Signature:
-    """The exact set of configurations the component admits, each with one
-    witness.
+    """The exact set of configurations the component admits, each with the
+    proto and traces that give it.
 
     The search runs on the component's shape: the component and the
     modulator vertices next to it (its anchors), relabelled 1..n, with the
@@ -600,13 +573,26 @@ def solve_fracture(inst: EdpInstance, kmax: int) -> SolveResult:
         for _ in range(count):
             chosen[next(members[key])] = cfg
 
-    # Build each component's witness of its chosen configuration only, and
-    # pool the supply paths of them all.
-    witnesses = [sig[chosen[cid]] for cid, sig in enumerate(signatures)]
+    # Turn each component's chosen proto into walks.  A pair joined inside
+    # its component is a walk at once; a pair routed through the modulator
+    # waits, with its two halves and its trace, until every supply path is
+    # pooled, the components' supply in component order.
+    walks: dict[int, tuple[int, ...]] = {}
+    waiting: list[tuple[int, tuple[int, ...], tuple[int, ...], Trace]] = []
     pools: dict[tuple[int, int], deque[tuple[int, ...]]] = {}
-    for wit in witnesses:
-        for key, paths in sorted(wit.supply.items()):
-            pools.setdefault(key, deque()).extend(paths)
+    for cid, sig in enumerate(signatures):
+        proto, traces = sig[chosen[cid]]
+        _, beta, routing, paths = sig._protos[proto]
+        edge_ids, anchors = sig._edge_ids, sig._anchors
+        found = iter([tuple(edge_ids[e] for e in path) for path in paths])
+        trace = iter(traces)
+        for j, hop in zip(sig._pair_indices, routing):
+            if hop is None:
+                walks[j] = next(found)
+            else:
+                waiting.append((j, next(found), next(found), next(trace)))
+        for (a, b), c in beta:
+            pools.setdefault((anchors[a], anchors[b]), deque()).extend(next(found) for _ in range(c))
     # Each edge a-b between two modulator vertices is one more supplied
     # path, pooled after every component's supply, in edge-index order.
     # Subdividing it would give the same: its midpoint, a component of a
@@ -623,17 +609,11 @@ def solve_fracture(inst: EdpInstance, kmax: int) -> SolveResult:
         path = pools[key].popleft()
         return path if key[0] == u else tuple(reversed(path))
 
-    walks: dict[int, tuple[int, ...]] = {}
-    for wit in witnesses:
-        for j, edges in sorted(wit.internal.items()):
-            walks[j] = edges
-        for j in sorted(wit.trace_of):
-            s_edges, t_edges = wit.halves[j]
-            trace = wit.trace_of[j]
-            parts: list[int] = list(s_edges)
-            for u, v in zip(trace, trace[1:]):
-                parts.extend(take_supply(u, v))
-            parts.extend(reversed(t_edges))
-            walks[j] = tuple(parts)
+    for j, s_edges, t_edges, route in waiting:
+        parts: list[int] = list(s_edges)
+        for u, v in zip(route, route[1:]):
+            parts.extend(take_supply(u, v))
+        parts.extend(reversed(t_edges))
+        walks[j] = tuple(parts)
 
     return SolveResult("yes", certify("fracture", inst, [walks[j] for j in range(len(work.pairs))]))

@@ -16,8 +16,9 @@ kept, so a walk may revisit a vertex but never an edge; certify turns the
 root's walks into paths.  A record is a function of the ends alone
 (_record), so a stored record is realized by its witness, and a record that
 some walk family realizes is stored unless a stored record dominates it
-(below).  The degree bound caps multiplicities: a bag vertex of degree d
-meets at most d walks.
+(below).  No degree cap is tested: the walks are edge-disjoint, so a
+vertex of degree d ends at most d of them, and the degree bounds only how
+many records a table can hold.
 
   - Introduce adds the trivial (v, v) walk of a terminal v.  An introduced
     non-terminal is no walk end, so that node shares its child's table.
@@ -60,7 +61,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections.abc import Collection
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import inf
@@ -105,24 +106,14 @@ class _Context:
 
     bag: frozenset[int]
     partner: dict[int, int]
-    delta: int
-    terminals: frozenset[int]  # the terminals in the processed subgraph
-    # Pairs (s, t), s < t, with both terminals processed, and the sorted
-    # processed terminals whose partner is not.
-    closing: list[tuple[int, int]] = field(init=False, repr=False)
-    open: list[int] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        terms = sorted(self.terminals)
-        self.closing = [
-            (t, self.partner[t]) for t in terms if self.partner[t] in self.terminals and t < self.partner[t]
-        ]
-        self.open = [t for t in terms if self.partner[t] not in self.terminals]
 
 
 def _record(ctx: _Context, ends) -> RecordKey | None:
     """Record realized by walks with these (a, b) ends, or None when no role
-    assignment satisfies the semantics (then the family is discarded)."""
+    assignment satisfies the semantics (then the family is discarded).
+    Every processed terminal ends exactly one walk of every offered state
+    (forget drops spare walks only), so a terminal is a single exactly when
+    its partner has no anchor."""
     partner = ctx.partner
     bag = ctx.bag
     anchor: dict[int, int] = {}
@@ -145,31 +136,24 @@ def _record(ctx: _Context, ends) -> RecordKey | None:
         else:
             if a == b or a not in bag or b not in bag:
                 return None
-            count = gives.get(p, 0) + 1
-            if count > ctx.delta:
-                return None
-            gives[p] = count
+            gives[p] = gives.get(p, 0) + 1
 
     used: list[tuple[int, int]] = []
-    for s, t in ctx.closing:
-        xs = anchor.get(s)
-        if xs == _CLOSED:
-            continue
-        xt = anchor.get(t)
-        if xs is None or xt is None or xs == xt or xs not in bag or xt not in bag:
-            return None
-        used.append((xs, xt) if xs < xt else (xt, xs))
-    used.sort()
-    for i in range(ctx.delta, len(used)):
-        if used[i] == used[i - ctx.delta]:
-            return None
     single: list[tuple[int, int]] = []
-    for t in ctx.open:
-        x = anchor.get(t)
-        if x is None or x not in bag:
+    for t, x in anchor.items():
+        if x == _CLOSED:
+            continue
+        if x not in bag:
             return None
-        single.append((t, x))
-    return (tuple(used), tuple(sorted(gives.items())), tuple(single))
+        s = partner[t]
+        xs = anchor.get(s)
+        if xs is None:
+            single.append((t, x))
+        elif t < s:
+            if x == xs:
+                return None
+            used.append((x, xs) if x < xs else (xs, x))
+    return (tuple(sorted(used)), tuple(sorted(gives.items())), tuple(sorted(single)))
 
 
 class Table:
@@ -285,11 +269,11 @@ def _edge_moves(
     States in which more than `limit` terminal walks (walks with a terminal
     end) end at v are left out.  A move's count is taken from the walks it
     consumes and the terminal walk it extends, so a walk that a join leads
-    back into v is not counted; that only keeps more states, which the
-    record then rejects.  On v's last edge (limit 0) no spare walk is led
-    into v: it would be dropped there, and the same state with the walk
-    left unused has the larger give (a walk closed at u, which no record
-    accepts, is the exception).  A fresh walk is offered only between two
+    back into v is not counted; that only keeps more states, and _record
+    rejects those that leave a terminal walk at v.  On v's last edge
+    (limit 0) no spare walk is led into v: it would be dropped there, and
+    the same state with the walk left unused has the larger give (a walk
+    closed at u, which no record accepts, is the exception).  A fresh walk is offered only between two
     non-terminals: a terminal has degree one, and its walk is the trivial
     one until this edge extends it."""
     at_u = []  # (index, far end) of walks with an end at u
@@ -324,7 +308,8 @@ def _edge_moves(
 
 def _forget_walks(ends: Ends, walks: Walks, moves: tuple[Move, ...], drop: int) -> Walks:
     """Replay forget moves on a child witness, then drop the walks with an
-    end at `drop` (0 drops none)."""
+    end at `drop` (0 drops none).  A stored record has no terminal walk
+    there, so these are the spare walks that _forget dropped."""
     items = list(zip(ends, walks))
     for e, x, y, i, j in moves:
         a, left = x, ()
@@ -342,16 +327,16 @@ def _forget_walks(ends: Ends, walks: Walks, moves: tuple[Move, ...], drop: int) 
 
 def _forget(ctx: _Context, table: Table, child: Table, v: int, links: list[tuple[int, int]]) -> None:
     """Offer v's edges e to bag vertices u, given as (e, u), one at a time,
-    then, when v is no terminal, drop every walk that still ends at v.
+    then, when v is no terminal, drop every spare walk that still ends at v.
 
-    A spare walk there may be left unused, and a terminal walk there leaves
-    its terminal without a walk, which no record accepts.  Dropping keeps
-    the step monotone in give: from a state with extra spare walks, the
-    same moves reach the same states plus those walks, which either still
-    end in the bag or are dropped.  Only terminal walks must leave v, and
-    each edge takes at most one walk end off v, so when v is no terminal a
-    state keeps no more terminal walks at v than edges remain to be
-    offered.
+    A spare walk there may be left unused.  A terminal walk there is kept:
+    it anchors its terminal at v, outside the bag, so _record rejects the
+    state.  Dropping keeps the step monotone in give: from a state with
+    extra spare walks, the same moves reach the same states plus those
+    walks, which either still end in the bag or are dropped.  Only
+    terminal walks must leave v, and each edge takes at most one walk end
+    off v, so when v is no terminal a state keeps no more terminal walks at
+    v than edges remain to be offered.
 
     One deduplicated state set per edge serves the whole forget node: a
     layer maps each state to its first derivation (child ends, child walks,
@@ -378,7 +363,7 @@ def _forget(ctx: _Context, table: Table, child: Table, v: int, links: list[tuple
     offered: set[Ends] = set()
     for state, (ends, walks, moves) in layer.items():
         if drop:
-            state = tuple([p for p in state if drop not in p])
+            state = tuple([p for p in state if drop not in p or p[0] in partner or p[1] in partner])
             if state in offered:
                 continue  # the same state with other walks dropped
             offered.add(state)
@@ -540,7 +525,6 @@ def compute_tables(
     parent is computed, so only the root's records remain, unless
     `free_children` is False."""
     g = work.g
-    delta = max(g.max_degree(), 1)
     partner: dict[int, int] = {}
     for p in work.pairs:
         partner[p.s] = p.t
@@ -548,23 +532,14 @@ def compute_tables(
 
     nodes = nice.nodes
     tables: list[Table] = [Table() for _ in nodes]
-    terminals: list[frozenset[int]] = [frozenset()] * len(nodes)
     for i, nd in enumerate(nodes):
-        plain = nd.kind == "introduce" and nd.vertex not in partner
-        if nd.kind == "forget" or plain:
-            # The node processes the terminals its child did: share the set.
-            (c,) = nd.children
-            terminals[i] = terminals[c]
-        else:
-            terminals[i] = frozenset(v for v in nd.bag if v in partner).union(
-                *(terminals[c] for c in nd.children)
-            )
-        if plain:
+        if nd.kind == "introduce" and nd.vertex not in partner:
             # No walk ends at the new vertex, so every child record stays
             # as it is, witness and order included: share the table.
+            (c,) = nd.children
             tables[i] = tables[c]
         else:
-            ctx = _Context(bag=nd.bag, partner=partner, delta=delta, terminals=terminals[i])
+            ctx = _Context(bag=nd.bag, partner=partner)
             table = tables[i]
             if nd.kind == "leaf":
                 (v,) = nd.bag

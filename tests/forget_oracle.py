@@ -30,7 +30,7 @@ def forget_per_record(ctx: _Context, table: Table, child: Table, v: int, links: 
         offered: set[Ends] = set()
         for state, moves in layer.items():
             if drop:
-                state = tuple([p for p in state if drop not in p])
+                state = tuple([p for p in state if drop not in p or p[0] in partner or p[1] in partner])
                 if state in offered:
                     continue
                 offered.add(state)

@@ -352,6 +352,32 @@ def test_verify_rejects_a_bad_verdict_at_its_line(tmp_path, capsys, sol_text, me
     capsys.readouterr()
 
 
+def test_verify_a_no_file_and_a_multi_demand_instance(tmp_path, capsys):
+    # A "no" file has nothing to check, and only plain EDP instances are
+    # checked at all.
+    no = write(tmp_path, "no.sol", "s no\n")
+    inst = write(tmp_path, "p4.edp", P4)
+    assert main(["verify", str(inst), str(no)]) == EXIT_NO
+    assert capsys.readouterr().out == "s no (nothing to verify)\n"
+    multi = write(tmp_path, "m.muedp", MUEDP_BASE)
+    assert main(["verify", str(multi), str(no)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: verification targets plain EDP instances\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p edp 3 -1 0\n", "line 1: negative count in header"),
+        ("p muedp 2 1 1\ne 1 2\nt 1 2 -1\n", "line 3: negative demand multiplicity"),
+    ],
+    ids=["header", "demand-multiplicity"],
+)
+def test_negative_counts_exit_usage(tmp_path, capsys, text, message):
+    inst = write(tmp_path, "neg.edp", text)
+    assert main(["solve", str(inst)]) == EXIT_USAGE
+    assert message in capsys.readouterr().out
+
+
 def test_unwritable_solution_path_exits_usage(tmp_path, capsys):
     # An OSError writing the solution is a usage error, not an internal one.
     inst = write(tmp_path, "p4.edp", P4)

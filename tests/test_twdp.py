@@ -217,11 +217,14 @@ def test_record_soundness_and_size_bounds(rng):
         for i, nd in enumerate(nice.nodes):
             in_y = nd.bag.union(*(processed[c] for c in nd.children))
             processed.append(in_y)
-            ctx = _Context(
-                bag=nd.bag, partner=partner, delta=delta,
-                terminals=frozenset(t for t in in_y if t in partner),
-            )
+            ctx = _Context(bag=nd.bag, partner=partner)
             for rec, (ends, walks) in tables[i].records.items():
+                # _record's invariant: each processed terminal ends exactly
+                # one walk; and no bag vertex ends more walks than its degree
+                for t in in_y & partner.keys():
+                    assert sum(t in p for p in ends) == 1
+                for x in nd.bag:
+                    assert sum(x in p for p in ends) <= inst.g.degree(x)
                 # witness walks run between their ends in the processed
                 # subgraph, with no bag-internal edges, and are edge-disjoint
                 seen_edges = set()
