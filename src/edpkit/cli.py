@@ -14,7 +14,9 @@ every full collection would scan them again.  This is safe because no
 solve leaves cyclic garbage behind: edpkit's own code creates no
 reference cycles, and `graph.max_weight_matching` frees those of networkx
 right after each call
-(`tests/test_cli.py::test_warm_solve_leaves_no_cyclic_garbage`).
+(`tests/test_cli.py::test_warm_solve_leaves_no_cyclic_garbage`).  A
+matching whose edges share no endpoint, as every one of `sedp`'s is on a
+forest of hub trees, is answered without networkx and leaves none.
 """
 
 from __future__ import annotations

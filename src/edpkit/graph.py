@@ -9,7 +9,17 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
+from operator import index
 from typing import Callable, Iterable, Sequence
+
+
+def vertex_id(v: object) -> int:
+    """v as a vertex id: an int, or a value that converts to one without
+    loss (bool, numpy's integers); anything else raises ValueError."""
+    try:
+        return index(v)
+    except TypeError:
+        raise ValueError(f"vertex id is not an integer: {v!r}") from None
 
 
 class Multigraph:
@@ -24,7 +34,7 @@ class Multigraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], directed: bool = False):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        edge_list = tuple((int(u), int(v)) for u, v in edges)
+        edge_list = tuple((vertex_id(u), vertex_id(v)) for u, v in edges)
         for u, v in edge_list:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"vertex id out of range: ({u}, {v}) with n={n}")
@@ -269,7 +279,9 @@ def max_weight_matching(g: Multigraph, weights: Sequence[int] | Callable[[int], 
     `edpkit solve` has the collector paused; without it a solve with many
     matching calls would keep all of them until the pause ends.  Each young
     collection scans only what was allocated since the previous one, so the
-    total cost stays linear.
+    total cost stays linear.  `matching_max_cover` answers the graphs whose
+    edges are pairwise disjoint without coming here, so networkx is loaded
+    and collected only for a graph with two edges at one vertex.
     """
     import networkx as nx  # here, so that a run that never matches does not load it
 
@@ -300,11 +312,21 @@ def matching_max_cover(g: Multigraph, s: set[int] | frozenset[int]) -> Matching:
     """Matching maximizing the number of covered vertices from s.
 
     Realized as a maximum-weight matching where an edge weighs one per
-    endpoint inside s.
+    endpoint inside s.  When no two edges share an endpoint and every edge
+    touches s, every edge weighs at least one and the whole edge set is a
+    matching, so it is the only optimum: it is returned without the
+    blossom algorithm.
     """
+    edges = g.edges
+    if (
+        not g.directed
+        and len({v for e in edges for v in e}) == 2 * len(edges)
+        and all(u in s or v in s for u, v in edges)
+    ):
+        return Matching(pairs=frozenset(range(len(edges))))
 
     def weight(e: int) -> int:
-        u, v = g.edges[e]
+        u, v = edges[e]
         return (u in s) + (v in s)
 
     return max_weight_matching(g, weight)

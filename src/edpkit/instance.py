@@ -3,8 +3,11 @@
 The instance, solution and multicolored-clique formats share one line
 reader (`_lines`): every line splits into whitespace-separated fields, a
 blank line or one whose first field starts with "c" is a comment, and every
-fault is a ParseError that names its line (see `parse_instance`).  Pair
-order is semantic: solution files refer to pairs by position.
+fault is a ParseError that names its line (see `parse_instance`).  An
+edp file laid out as `write_instance` writes it is read in bulk first
+(`_read_plain_edp`), which raises nothing: any file it does not accept goes
+to the line reader.  Pair order is semantic: solution files refer to pairs
+by position.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import eq
 from typing import Iterable, Iterator, Sequence
 
-from edpkit.graph import Multigraph
+from edpkit.graph import Multigraph, vertex_id
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,7 @@ class EdpInstance:
             raise ValueError("EDP instances are undirected")
         for p in self.pairs:
             for v in p.members():
-                if not (1 <= v <= self.g.n):
+                if not (1 <= vertex_id(v) <= self.g.n):
                     raise ValueError(f"terminal {v} out of range")
         object.__setattr__(self, "normalized", not self._violators())
 
@@ -201,7 +205,70 @@ def parse_instance(text: str) -> EdpInstance | MultiDemandInstance:
         "p muedp <n> <m> <l>" for multi-demand instances
       - m edge lines "e <u> <v>" (read as arcs u->v for mdedp)
       - demand lines: "t <a> <b>" for edp, "t <s> <t> <n>" for mdedp/muedp
+
+    A valid edp file laid out as `write_instance` writes it is read in
+    bulk; every other file goes through the line reader, which alone
+    raises ParseError.  Both give the same instance.
     """
+    inst = _read_plain_edp(text)
+    return inst if inst is not None else _read_lines(text)
+
+
+# The characters of a plain edp file's body: its tokens' and their separators.
+_PLAIN_BODY = str.maketrans("", "", "0123456789et \n")
+
+
+def _read_plain_edp(text: str) -> EdpInstance | None:
+    """The instance of a valid edp file laid out as `write_instance` writes
+    it, or None for any other file.
+
+    Such a file is the header "p edp <n> <m> <p>" in plain decimals, then
+    m lines "e <u> <v>" and p lines "t <a> <b>", each ended by a newline.
+    The body holds only digits, "e", "t", spaces and newlines, so its lines
+    and fields are the line reader's.  The fields are read in one split:
+    every field at a position 3i must be a tag and every other one an int,
+    and every line starts with a tag, so every line starts at a position
+    3i.  With 3 fields per line in all, each line has exactly 3.  The
+    ranges are checked on whole columns; any fault returns None, and the
+    line reader reports it.
+    """
+    head, _, body = text.partition("\n")
+    fields = head.split(" ")
+    if len(fields) != 5 or fields[0] != "p" or fields[1] != "edp" or not text.endswith("\n"):
+        return None
+    try:
+        n, m, p = map(int, fields[2:])
+    except ValueError:
+        return None
+    lines = m + p
+    starts = "\n" + body  # each line, the first too, after a newline
+    if (
+        min(n, m, p) < 0
+        or head != f"p edp {n} {m} {p}"
+        or body.translate(_PLAIN_BODY)
+        or body.count("\n") != lines
+        or starts.count("\ne ") + starts.count("\nt ") != lines
+    ):
+        return None
+    tokens = body.split()
+    if len(tokens) != 3 * lines or tokens[0 : 3 * m : 3].count("e") != m or tokens[3 * m :: 3].count("t") != p:
+        return None
+    try:
+        us, vs = list(map(int, tokens[1 : 3 * m : 3])), list(map(int, tokens[2 : 3 * m : 3]))
+        ss, ts = list(map(int, tokens[3 * m + 1 :: 3])), list(map(int, tokens[3 * m + 2 :: 3]))
+    except ValueError:
+        return None
+    for column in (us, vs, ss, ts):
+        if column and (min(column) < 1 or max(column) > n):
+            return None
+    if any(map(eq, us, vs)) or any(map(eq, ss, ts)):
+        return None
+    g = Multigraph._from_checked(n, list(zip(us, vs)))
+    return EdpInstance(g, tuple(map(TerminalPair, ss, ts)))
+
+
+def _read_lines(text: str) -> EdpInstance | MultiDemandInstance:
+    """parse_instance's line reader: one line at a time, for every file."""
     kind, n, m, p, lines = _headed(text, ("edp", "mdedp", "muedp"))
     edges: list[tuple[int, int]] = []
     pairs: list[TerminalPair] = []

@@ -19,6 +19,7 @@ the delivering child.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from edpkit.graph import Multigraph, find_fvs_one, matching_max_cover
@@ -63,10 +64,11 @@ _Decision = tuple[_NodePlan, tuple[tuple[int, int], ...], dict[int, int]]
 
 @dataclass
 class SedpInstance:
-    """A prepared instance: rewritten graph, rooted forest of g - x, and the
-    bookkeeping the label pass and realization read."""
+    """A prepared instance: rewritten edges and pairs, rooted forest of
+    g - x, and the bookkeeping the label pass and realization read."""
 
-    inst: EdpInstance
+    edges: tuple[tuple[int, int], ...]  # the prepared graph's, on vertices 1..len(parent_edge) - 1
+    pairs: tuple[TerminalPair, ...]
     x: int
     roots: tuple[int, ...]
     parent_edge: list[int]  # vertex -> edge index to its parent, -1 at roots and x
@@ -78,6 +80,11 @@ class SedpInstance:
     # Inner vertex with two or more children -> what the label pass decided
     # there and realization reads; realization drops each entry it reads.
     decisions: dict[int, _Decision] = field(default_factory=dict)
+
+    @cached_property
+    def inst(self) -> EdpInstance:
+        """The prepared instance, built on first read; a solve never reads it."""
+        return EdpInstance(Multigraph._from_checked(len(self.parent_edge) - 1, self.edges), self.pairs)
 
 
 def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
@@ -94,6 +101,8 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
     `certify` applies).  A rewritten x-edge e = {v, x} keeps index e with
     v replaced by its gadget leaf l, and its other half (v, l) is appended;
     so are the edges of the x-terminal leaf and of the fresh root leaves.
+    The prepared graph is not built: the forest is walked over inst's
+    incidence lists, and `SedpInstance.inst` builds it on first read.
     """
     g = inst.g
     if not (1 <= x <= g.n):
@@ -181,25 +190,33 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
     # roots are never x-adjacent by the selection rule above, and a
     # single-vertex tree's root is a forest leaf, so only the tree degree
     # and the number of x-edges matter here.
+    #
+    # The walks below read inst's incidence lists, with each re-routed
+    # x-edge dropped at its forest end and each appended edge added at both
+    # ends; only the vertices the rewrite touched get a new list.  A gadget
+    # leaf's list holds just its edge from v, by which the walk reaches it;
+    # its x-edge is read from x's list.
+    adjacent = list(incident)
     for v, e in x_ends:
         k = x_count[v]
         if k >= 2 or len(incident[v]) - k + (v in anchors) >= 2:
             next_id += 1
             edges[e] = (x, next_id) if g_edges[e][0] == x else (next_id, x)
             edges.append((v, next_id))
+            adjacent[v] = tuple(f for f in adjacent[v] if f != e)
+    adjacent += [()] * (next_id - n)
+    for e in range(g.m, len(edges)):
+        a, b = edges[e]
+        adjacent[a] += (e,)
+        adjacent[b] += (e,)
 
-    prepared_graph = Multigraph._from_checked(next_id, edges)
-    prepared = EdpInstance(prepared_graph, tuple(pairs))
-
-    # The rooted forest, read from the prepared graph's incidence lists.
-    # Each tree is walked from its root, and the reversed walk lists
-    # children before parents.
-    p_edges, incident = prepared_graph.edges, prepared_graph._incident
+    # The rooted forest.  Each tree is walked from its root, and the
+    # reversed walk lists children before parents.
     x_edge_of: dict[int, int] = {}
-    for e in incident[x]:
-        a, b = p_edges[e]
+    for e in adjacent[x]:
+        a, b = edges[e]
         x_edge_of[b if a == x else a] = e
-    assert len(x_edge_of) == len(incident[x]), "vertex with several x-edges survived preparation"
+    assert len(x_edge_of) == len(adjacent[x]), "vertex with several x-edges survived preparation"
     parent_edge = [-1] * (next_id + 1)
     children: dict[int, tuple[int, ...]] = dict.fromkeys(range(1, next_id + 1), ())
     del children[x]
@@ -213,9 +230,9 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
             walk.append(v)
             up = parent_edge[v]
             below = []
-            for e in incident[v]:
+            for e in adjacent[v]:
                 if e != up:
-                    a, b = p_edges[e]
+                    a, b = edges[e]
                     w = b if a == v else a
                     if w != x:
                         parent_edge[w] = e
@@ -232,12 +249,13 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
     tree_slice = {root: slice(total - stop, total - start) for root, (start, stop) in zip(roots, spans)}
 
     pair_of = {}
-    for j, p in enumerate(prepared.pairs):
+    for j, p in enumerate(pairs):
         pair_of[p.s] = j
         pair_of[p.t] = j
 
     return SedpInstance(
-        inst=prepared,
+        edges=tuple(edges),
+        pairs=tuple(pairs),
         x=x,
         roots=tuple(roots),
         parent_edge=parent_edge,
@@ -500,7 +518,7 @@ def solve_sedp(inst: EdpInstance, x: int | None = None) -> SolveResult:
                     by_terminal[end] = path
 
     walks: list[tuple[int, ...]] = []
-    for p in prep.inst.pairs:
+    for p in prep.pairs:
         ps = by_terminal[p.s]
         walk = ps.edges if ps.a == p.s else ps.edges[::-1]
         if p.t not in (ps.a, ps.b):

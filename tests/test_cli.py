@@ -420,6 +420,29 @@ def test_forest_solve_does_not_import_networkx(tmp_path):
     assert run.stdout.splitlines()[-1] == f"{EXIT_YES} False", run.stdout
 
 
+def test_matching_solve_does_not_import_networkx(tmp_path):
+    # Every H(t) of the hub trees is one edge between a pair's two
+    # terminals, which the direct matching rule answers without networkx.
+    inst = write(tmp_path, "hub.edp", hub_trees_text(30))
+    child = (
+        "import sys\n"
+        "from edpkit import graph, sedp\n"
+        "from edpkit.cli import main\n"
+        "calls = []\n"
+        "def counting(h, target):\n"
+        "    calls.append(h.m)\n"
+        "    return graph.matching_max_cover(h, target)\n"
+        "sedp.matching_max_cover = counting\n"
+        f"code = main(['solve', '--engine', 'sedp', {str(inst)!r}])\n"
+        "print(code, len(calls), 'networkx' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == f"{EXIT_YES} 30 False", run.stdout
+
+
 def test_solve_multi_instance_brute(tmp_path):
     md = write(tmp_path, "two.mdedp", "p mdedp 2 2 1\ne 1 2\ne 1 2\nt 1 2 2\n")
     assert main(["solve", str(md)]) == EXIT_YES

@@ -1,5 +1,6 @@
 from itertools import combinations
 
+from edpkit import graph
 from edpkit.graph import (
     Multigraph,
     components_excluding,
@@ -159,3 +160,60 @@ def test_components_excluding_matches_subgraph(g, removed):
     # g - removed, whose removed vertices are isolated placeholders.
     sub = components_excluding(g.without_vertices(removed), ())
     assert components_excluding(g, removed) == [c for c in sub if not c <= removed]
+
+
+def test_multigraph_rejects_non_integer_ids():
+    # A float or a string is no vertex id, even where int() would read one.
+    with pytest.raises(ValueError, match=r"vertex id is not an integer: 1\.7"):
+        Multigraph(3, [(1.7, 2)])
+    with pytest.raises(ValueError, match="vertex id is not an integer: '3'"):
+        Multigraph(3, [(1, 2), ("3", 2)])
+    # bool is an int, and is kept as one.
+    assert Multigraph(3, [(True, 2)]).edges == ((1, 2),)
+    assert type(Multigraph(3, [(True, 2)]).edges[0][0]) is int
+
+
+@st.composite
+def disjoint_edges_touching(draw):
+    """A graph on at most 12 vertices whose edges share no endpoint, and a
+    vertex set that every edge touches, plus some isolated vertices."""
+    n = draw(st.integers(0, 12))
+    order = draw(st.permutations(range(1, n + 1)))
+    edges = [(order[2 * i], order[2 * i + 1]) for i in range(draw(st.integers(0, n // 2)))]
+    s = {v for v in order[2 * len(edges) :] if draw(st.booleans())}
+    for u, v in edges:
+        s |= draw(st.sampled_from([{u}, {v}, {u, v}]))
+    return Multigraph(n, edges), s
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(disjoint_edges_touching())
+def test_direct_matching_equals_the_blossom(case):
+    g, s = case
+
+    def weight(e):
+        u, v = g.edges[e]
+        return (u in s) + (v in s)
+
+    assert matching_max_cover(g, s) == max_weight_matching(g, weight)
+
+
+def test_direct_matching_skips_the_blossom(monkeypatch):
+    calls = []
+    real = graph.max_weight_matching
+
+    def counting(g, weights):
+        calls.append(g.m)
+        return real(g, weights)
+
+    monkeypatch.setattr(graph, "max_weight_matching", counting)
+    two = Multigraph(4, [(1, 2), (3, 4)])
+    assert matching_max_cover(two, {1, 4}).pairs == {0, 1}
+    assert matching_max_cover(Multigraph(2, []), {1}).pairs == frozenset()
+    assert calls == []
+    # Two edges at one vertex, parallel edges, or an edge that misses s
+    # go to the blossom.
+    assert len(matching_max_cover(Multigraph(3, [(1, 2), (2, 3)]), {1, 3}).pairs) == 1
+    assert len(matching_max_cover(Multigraph(2, [(1, 2), (1, 2)]), {1}).pairs) == 1
+    assert matching_max_cover(two, {1}).pairs == {0}
+    assert calls == [2, 2, 2]

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -349,3 +350,71 @@ def test_certify_verifies_once_per_yes(monkeypatch):
         assert result.is_yes, name
         assert len(checked) == 1 and checked[0] is inst, name
         assert verify_solution(inst, result.paths).ok, name
+
+
+def _read_outcome(reader, text):
+    """The instance a reader returns, or the type and text of what it raises."""
+    try:
+        return reader(text)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+# Inserted by the mutations below: whitespace that str.split and
+# str.splitlines treat alike or apart, comment lines, tags and signs.
+_INSERTS = [" ", "  ", "\t", "\r", "\r\n", "\n", "\x0b", "\x0c", "\x1c", "\x85", "c x\n", "c", "e ", "t ", "p", "+", "-", "_", "0", "7"]
+
+
+def _mutated_instance_text(rng: random.Random) -> str:
+    n = rng.randint(1, 7)
+    edges = [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(0, 6))] if n > 1 else []
+    pairs = tuple(TerminalPair(*rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(0, 3))) if n > 1 else ()
+    text = write_instance(EdpInstance(Multigraph(n, edges), pairs))
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(len(text) + 1)
+        kind = rng.randrange(5)
+        if kind == 0:  # insert
+            text = text[:i] + rng.choice(_INSERTS) + text[i:]
+        elif kind == 1:  # delete
+            text = text[:i] + text[i + 1 :]
+        elif kind == 2:  # duplicate
+            text = text[:i] + text[i : i + 1] + text[i:]
+        elif kind == 3:  # a space for a newline or back, which keeps the field count
+            swap = {" ": "\n", "\n": " "}
+            text = text[:i] + swap.get(text[i : i + 1], text[i : i + 1]) + text[i + 1 :]
+        else:  # a number for another one, perhaps out of range or equal to its neighbour
+            start = i
+            while start < len(text) and not text[start].isdigit():
+                start += 1
+            stop = start
+            while stop < len(text) and text[stop].isdigit():
+                stop += 1
+            text = text[:start] + str(rng.randint(0, n + 1)) + text[stop:]
+    return text
+
+
+def test_bulk_reader_agrees_with_the_line_reader():
+    # parse_instance reads a plain edp file in bulk; on every file it must
+    # give what the line reader alone gives, instance or ParseError.
+    rng = random.Random(29)
+    read_in_bulk = 0
+    for _ in range(6000):
+        text = _mutated_instance_text(rng)
+        want = _read_outcome(instance._read_lines, text)
+        assert _read_outcome(parse_instance, text) == want, text
+        read_in_bulk += instance._read_plain_edp(text) is not None
+    assert 1000 < read_in_bulk < 5000, read_in_bulk
+    # A lone CR ends a line for the line reader, but is no separator of
+    # the bulk reader's.
+    for text in ("p edp 2 0\r 0", "p edp 2 0\r 0\n", "p edp 2 1 0\ne 1\r2\n"):
+        with pytest.raises(ParseError):
+            parse_instance(text)
+        assert instance._read_plain_edp(text) is None
+
+
+def test_instance_rejects_non_integer_terminals():
+    g = Multigraph(3, [(1, 2), (2, 3)])
+    with pytest.raises(ValueError, match=r"vertex id is not an integer: 1\.5"):
+        EdpInstance(g, (TerminalPair(1.5, 3),))
+    with pytest.raises(ValueError, match="vertex id is not an integer: '3'"):
+        EdpInstance(g, (TerminalPair(1, "3"),))

@@ -18,6 +18,7 @@ from edpkit.sedp import (
 
 from conftest import random_fvs1_instance, star_of_paths
 from def2_oracle import definition_labels, subtree_vertices
+from prepare_oracle import prepare_on_built_graph
 
 
 def tree_root(prep, v):
@@ -290,3 +291,27 @@ def test_node_plan_built_once_per_inner_node(monkeypatch):
     monkeypatch.setattr(sedp, "_node_plan", counting)
     assert solve_sedp(inst, x=1).is_yes
     assert planned and len(planned) == len(set(planned)) <= len(inner)
+
+
+def test_prepare_matches_the_built_graph_oracle(rng):
+    # prepare_sedp roots the forest over the caller's incidence lists and
+    # builds its instance only when read; every field, and that instance,
+    # must equal what the preparation over the built graph gives.
+    prepared = refused = 0
+    for _ in range(250):
+        work = random_fvs1_instance(rng)
+        for x in range(1, work.g.n + 1):  # every feedback vertex, terminals included
+            try:
+                want, want_inst = prepare_on_built_graph(work, x)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as refusal:
+                    prepare_sedp(work, x)
+                assert str(refusal.value) == str(exc)
+                refused += 1
+                continue
+            prep = prepare_sedp(work, x)
+            assert prep == want, (work, x)
+            assert list(prep.x_edge_of) == list(want.x_edge_of), (work, x)
+            assert prep.inst == want_inst and prep.inst.g.edges == want_inst.g.edges, (work, x)
+            prepared += 1
+    assert prepared > 500 and refused > 0, (prepared, refused)
