@@ -255,34 +255,23 @@ class SignatureMemo:
         return opts
 
 
-class Signature(Mapping[Config, tuple[int, tuple[Trace, ...]]]):
+@dataclass(frozen=True)
+class Signature:
     """The configurations one component admits, in search order, each with
     the index of the first proto that gives it and the traces chosen for
-    its routed pairs.  solve_fracture turns the chosen one into walks in
-    the component's own edges and pairs."""
+    its routed pairs.  edge_ids, pair_indices and anchors map the shape's
+    local edges, pairs and anchor positions back to the instance, so that
+    solve_fracture turns the chosen proto into walks.  len() counts the
+    configurations: the benchmark's tracer reads a signature's size so."""
 
-    def __init__(
-        self,
-        configs: dict[Config, tuple[int, tuple[Trace, ...]]],
-        protos: list[Proto],
-        edge_ids: list[int],
-        pair_indices: list[int],
-        anchors: tuple[int, ...],
-    ):
-        self._configs = configs
-        self._protos = protos
-        self._edge_ids = edge_ids
-        self._pair_indices = pair_indices
-        self._anchors = anchors
+    configs: dict[Config, tuple[int, tuple[Trace, ...]]]
+    protos: list[Proto]
+    edge_ids: list[int]
+    pair_indices: list[int]
+    anchors: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self._configs)
-
-    def __iter__(self):
-        return iter(self._configs)
-
-    def __getitem__(self, config: Config) -> tuple[int, tuple[Trace, ...]]:
-        return self._configs[config]
+        return len(self.configs)
 
 
 def _paths(g: Multigraph, demands: list[tuple[int, int]]) -> list[tuple[int, ...]] | None:
@@ -455,10 +444,10 @@ def build_selector_program(
     # so each dict is sorted and keyed once.
     keyed: dict[int, tuple[str, list[Config]]] = {}
     for cid, sig in enumerate(signatures):
-        known = keyed.get(id(sig._configs))
+        known = keyed.get(id(sig.configs))
         if known is None:
-            configs = sorted(sig)
-            known = keyed[id(sig._configs)] = (repr(configs), configs)
+            configs = sorted(sig.configs)
+            known = keyed[id(sig.configs)] = (repr(configs), configs)
         key, configs = known
         class_members.setdefault(key, []).append(cid)
         class_configs.setdefault(key, configs)
@@ -581,12 +570,12 @@ def solve_fracture(inst: EdpInstance, kmax: int) -> SolveResult:
     waiting: list[tuple[int, tuple[int, ...], tuple[int, ...], Trace]] = []
     pools: dict[tuple[int, int], deque[tuple[int, ...]]] = {}
     for cid, sig in enumerate(signatures):
-        proto, traces = sig[chosen[cid]]
-        _, beta, routing, paths = sig._protos[proto]
-        edge_ids, anchors = sig._edge_ids, sig._anchors
+        proto, traces = sig.configs[chosen[cid]]
+        _, beta, routing, paths = sig.protos[proto]
+        edge_ids, anchors = sig.edge_ids, sig.anchors
         found = iter([tuple(edge_ids[e] for e in path) for path in paths])
         trace = iter(traces)
-        for j, hop in zip(sig._pair_indices, routing):
+        for j, hop in zip(sig.pair_indices, routing):
             if hop is None:
                 walks[j] = next(found)
             else:

@@ -276,12 +276,7 @@ def _read_lines(text: str) -> EdpInstance | MultiDemandInstance:
     for line_no, fields in lines:
         tag = fields[0]
         if tag == "e":
-            # Edge lines are most of a file: checked inline, with no call per line.
-            try:
-                _, a, b = fields
-                u, v = int(a), int(b)
-            except ValueError:
-                raise _malformed(line_no, "edge line", fields) from None
+            u, v = _ints(line_no, "edge line", fields, 3)
             if not (1 <= u <= n and 1 <= v <= n):
                 raise _out_of_range(line_no, u, v)
             if u == v:

@@ -10,9 +10,10 @@ root), with a maximum-cover matching arbitrating between sibling subtrees.
 A node with one child has a conflict graph without edges, so it shares its
 child's label set.  At a node with two or more children the label pass
 records its decisions: the children's partition, the matching with no child
-excluded, and the lowest child that can deliver each pair label.  Yes
-answers are reconstructed into an explicit edge-disjoint path set from those
-records; only a node asked to deliver a pair runs one more matching, without
+excluded, and the lowest child that can deliver each pair label.  On a yes
+answer realization reads those records and files each pair's walk as its
+last join is made: one joining the pair's terminals, or two to x joined
+there; only a node asked to deliver a pair runs one more matching, without
 the delivering child.
 """
 
@@ -309,10 +310,9 @@ def _max_cover(plan: _NodePlan, exclude: int | None) -> tuple[int, tuple[tuple[i
     matching = matching_max_cover(h, target)
     cover = len(matching.vertices(h) & target)
     pairs = []
-    back = {i: v for v, i in index.items()}
     for e in sorted(matching.pairs):
         a, b = h.edges[e]
-        u, w = back[a], back[b]
+        u, w = verts[a - 1], verts[b - 1]
         pairs.append((u, w) if (u, w) in shared_pair else (w, u))
     return cover, tuple(pairs)
 
@@ -382,24 +382,21 @@ def labels_for_tree(prep: SedpInstance, root: int) -> dict[int, LabelSet]:
     return labels
 
 
-class _Path(NamedTuple):
-    """A path as an edge-index walk from endpoint a to endpoint b."""
-
-    edges: tuple[int, ...]
-    a: int
-    b: int
-
-
-def _realize_tree(prep: SedpInstance, root: int, labels: dict[int, LabelSet]) -> list[_Path]:
-    """Reconstruct an explicit path family witnessing that the tree is
-    gamma-empty-connected, following the label rules' constructive steps
-    with all arbitrary choices fixed to lowest index.
+def _realize_tree(
+    prep: SedpInstance, root: int, labels: dict[int, LabelSet], to_x: dict[int, list[int]], walks: dict[int, list[int]]
+) -> None:
+    """File the walks witnessing that the tree is gamma-empty-connected,
+    following the label rules' constructive steps with all arbitrary
+    choices fixed to lowest index.
 
     A top-down pass gives every vertex its mode: "ge", "gx", or the pair
     label whose terminal it delivers to its parent.  A node with one child
     passes its mode down.  A bottom-up pass then joins the children's
-    open paths at each node; an open path is an edge list from its start
-    to the current vertex, grown in place as it climbs.
+    open walks at each node; an open walk is an edge list from its start,
+    a terminal or x, to the current vertex, grown in place as it climbs.
+    A join is filed at once: one whose far end is x in to_x[terminal] (as
+    is a "ge" terminal leaf's x-edge), one of a pair's two terminals in
+    walks[pair], from the pair's s.
     """
     x, children_of, up = prep.x, prep.children, prep.parent_edge
     tree = prep.post_order[prep.tree_slice[root]]  # children before parents
@@ -440,8 +437,7 @@ def _realize_tree(prep: SedpInstance, root: int, labels: dict[int, LabelSet]) ->
         for c in children:
             modes[c] = child_mode.get(c, "ge")
 
-    paths: list[_Path] = []
-    open_paths: dict[int, tuple[list[int], int]] = {}  # vertex -> (edges so far, start)
+    open_walks: dict[int, tuple[list[int], int]] = {}  # vertex -> (edges so far, start)
     for t in tree:
         mode = modes[t]
         children = children_of[t]
@@ -451,33 +447,36 @@ def _realize_tree(prep: SedpInstance, root: int, labels: dict[int, LabelSet]) ->
             if mode == "ge":
                 if pair is not None:
                     assert x_edge is not None, "terminal leaf without x-edge cannot be gamma-empty"
-                    paths.append(_Path((x_edge,), t, x))
+                    to_x[t] = [x_edge]
             elif mode == "gx":
                 assert pair is None and x_edge is not None
-                open_paths[t] = ([x_edge], x)
+                open_walks[t] = ([x_edge], x)
             else:
                 assert pair == mode, "leaf asked for a pair it does not hold"
-                open_paths[t] = ([], t)
+                open_walks[t] = ([], t)
             continue
         if len(children) == 1:
             joins: tuple[tuple[int, int], ...] = ()
             upward = None if mode == "ge" else children[0]
         else:
             joins, upward = steps.pop(t)
-        # Join two open paths through t: matched deliveries, and unmatched
-        # deliveries routed to x through their supplier.
+        # Join two open walks through t: matched deliveries, and unmatched
+        # deliveries routed to x through their supplier, which comes second.
         for ci, cj in joins:
-            edges, a = open_paths.pop(ci)
-            edges_j, b = open_paths.pop(cj)
+            edges, a = open_walks.pop(ci)
+            edges_j, b = open_walks.pop(cj)
             edges.append(up[ci])
             edges.append(up[cj])
             edges.extend(reversed(edges_j))
-            paths.append(_Path(tuple(edges), a, b))
+            if b == x:
+                to_x[a] = edges
+            else:
+                j = prep.pair_of[a]
+                walks[j] = edges if prep.pairs[j].s == a else edges[::-1]
         if upward is not None:
-            path = open_paths.pop(upward)
-            path[0].append(up[upward])
-            open_paths[t] = path
-    return paths
+            walk = open_walks.pop(upward)
+            walk[0].append(up[upward])
+            open_walks[t] = walk
 
 
 def solve_sedp(inst: EdpInstance, x: int | None = None) -> SolveResult:
@@ -509,20 +508,9 @@ def solve_sedp(inst: EdpInstance, x: int | None = None) -> SolveResult:
             return SolveResult("no")
         tree_labels.update(labels)
 
-    by_terminal: dict[int, _Path] = {}
+    to_x: dict[int, list[int]] = {}  # terminal -> its walk to x
+    walks: dict[int, list[int]] = {}  # pair index -> its walk from s to t
     for root in prep.roots:
-        for path in _realize_tree(prep, root, tree_labels):
-            for end in (path.a, path.b):
-                if end in prep.pair_of:
-                    assert end not in by_terminal, "terminal served by two paths"
-                    by_terminal[end] = path
-
-    walks: list[tuple[int, ...]] = []
-    for p in prep.pairs:
-        ps = by_terminal[p.s]
-        walk = ps.edges if ps.a == p.s else ps.edges[::-1]
-        if p.t not in (ps.a, ps.b):
-            pt = by_terminal[p.t]
-            walk += pt.edges[::-1] if pt.a == p.t else pt.edges
-        walks.append(walk)
-    return SolveResult("yes", certify("sedp", inst, walks))
+        _realize_tree(prep, root, tree_labels, to_x, walks)
+    paths = [walks[j] if j in walks else to_x[p.s] + to_x[p.t][::-1] for j, p in enumerate(prep.pairs)]
+    return SolveResult("yes", certify("sedp", inst, paths))

@@ -451,6 +451,25 @@ def test_solve_multi_instance_brute(tmp_path):
     assert main(["solve", "--engine", "sedp", str(md)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "text, stats_line",
+    [("p edp 0 0 0\n", "decomposition-width -1"), ("p edp 3 0 0\n", "fracture-number 1")],
+    ids=["no-vertices", "three-isolated"],
+)
+def test_empty_instances(tmp_path, capsys, text, stats_line):
+    """An instance without edges or pairs is a "yes" under every engine,
+    with a solution that verifies, and stats reports on it."""
+    inst = write(tmp_path, "empty.edp", text)
+    for engine in ("auto", "sedp", "twdp", "fracture", "brute"):
+        sol = tmp_path / f"{engine}.sol"
+        assert main(["solve", "--engine", engine, "--solution", str(sol), str(inst)]) == EXIT_YES, engine
+        assert "s yes" in capsys.readouterr().out
+        assert sol.read_text(encoding="ascii") == "s yes\n"
+        assert main(["verify", str(inst), str(sol)]) == EXIT_YES
+    assert main(["stats", str(inst)]) == EXIT_YES
+    assert stats_line in capsys.readouterr().out.splitlines()
+
+
 def test_stats(tmp_path, capsys):
     inst = write(tmp_path, "p9.edp", "p edp 9 8 0\n" + "".join(f"e {i} {i+1}\n" for i in range(1, 9)))
     code = main(["stats", "--kmax", "4", str(inst)])

@@ -190,13 +190,13 @@ def test_signature_examples():
     g = Multigraph(4, [(1, 3), (2, 4)])
     inst = EdpInstance(g, (TerminalPair(1, 2),))
     sig = component_signature(inst, {1, 2}, FractureModulator(frozenset({3, 4})))
-    assert sorted(sig.keys()) == [(((3, 4),), ())]
+    assert sorted(sig.configs) == [(((3, 4),), ())]
     g2 = Multigraph(3, [(1, 2), (1, 3)])
     sig2 = component_signature(EdpInstance(g2, ()), {1}, FractureModulator(frozenset({2, 3})))
-    assert set(sig2) == {((), ()), ((), (((2, 3), 1),))}
+    assert set(sig2.configs) == {((), ()), ((), (((2, 3), 1),))}
     g3 = Multigraph(2, [(1, 2)])
     sig3 = component_signature(EdpInstance(g3, ()), {1, 2}, FractureModulator(frozenset()))
-    assert set(sig3) == {((), ())}
+    assert set(sig3.configs) == {((), ())}
 
 
 def test_signature_matches_labeling_oracle(rng):
@@ -218,7 +218,7 @@ def test_signature_matches_labeling_oracle(rng):
             )
             if edge_count > 8:
                 continue
-            got = set(component_signature(inst, comp, x0))
+            got = set(component_signature(inst, comp, x0).configs)
             want = signature_by_labeling(inst, comp, x0)
             assert got == want, (inst.g.edges, comp, x0)
             checked += 1
@@ -274,8 +274,8 @@ def test_shared_memo_matches_memo_free_signatures(rng):
         for comp in comps:
             shared = component_signature(inst, comp, x, memo)
             alone = component_signature(inst, comp, x)
-            assert list(shared) == list(alone), (inst.g.edges, inst.pairs, comp)
-            assert all(shared[c] == alone[c] for c in alone), (inst.g.edges, inst.pairs, comp)
+            assert list(shared.configs) == list(alone.configs), (inst.g.edges, inst.pairs, comp)
+            assert all(shared.configs[c] == alone.configs[c] for c in alone.configs), (inst.g.edges, inst.pairs, comp)
         reused += len(comps) - len(memo.protos)
         got = solve_fracture(inst, 3)
         assert got.status == brute_force_edp(inst).status, (inst.g.edges, inst.pairs)
