@@ -139,10 +139,13 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
     # (3) every tree needs a non-terminal root without an x-edge.  The trees
     # of g - x come from one walk per tree over the incidence lists, started
     # at each tree's smallest vertex; reaching a visited vertex by any edge
-    # but the one the walk came in on closes a cycle.
+    # but the one the walk came in on closes a cycle.  The walk roots its
+    # tree at its start; the path from the chosen root (or from the anchor
+    # of a fresh root leaf) back to the start is then turned over.
     seen = [False] * (n + 1)
     seen[x] = True
-    came_by = [-1] * (n + 1)
+    parent = [0] * (n + 1)  # 0 at roots and x
+    parent_edge = [-1] * (n + 1)  # -1 at roots and x
     roots: list[int] = []
     anchors: set[int] = set()  # vertices that received a fresh root leaf
     for first in range(1, n + 1):
@@ -160,7 +163,7 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
                     anchor = v
                 if v < root and v not in x_count:
                     root = v
-            up = came_by[v]
+            up = parent_edge[v]
             for e in incident[v]:
                 if e != up:
                     a, b = g_edges[e]
@@ -169,12 +172,15 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
                         if seen[w]:
                             raise ValueError(f"graph minus vertex {x} is not a forest")
                         seen[w] = True
-                        came_by[w] = e
+                        parent[w] = v
+                        parent_edge[w] = e
                         stack.append(w)
         if size == 1:
             roots.append(first)
-        elif root <= n:
+            continue
+        if root <= n:
             roots.append(root)
+            v, u, f = root, 0, -1
         else:
             # Normalization forbids adjacent terminals, so a multi-vertex
             # tree always has a non-terminal vertex to hang the root off.
@@ -182,45 +188,56 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
             edges.append((anchor, next_id))
             roots.append(next_id)
             anchors.add(anchor)
+            v, u, f = anchor, next_id, len(edges) - 1
+        while v:  # v gets parent u by edge f
+            w, up = parent[v], parent_edge[v]
+            parent[v], parent_edge[v] = u, f
+            u, f, v = v, up, w
     if x_leaf:
         roots.append(x_leaf)
+    parent += [0] * (next_id - n)
+    parent_edge += [-1] * (next_id - n)
 
     # (1) x-edges may only reach forest leaves, one edge each.  Offending
     # x-edges are re-routed through a fresh leaf l: the edge (v, x) becomes
-    # (l, x) at its own index, and (v, l) is appended.  Multi-vertex tree
-    # roots are never x-adjacent by the selection rule above, and a
-    # single-vertex tree's root is a forest leaf, so only the tree degree
-    # and the number of x-edges matter here.
-    #
-    # The walks below read inst's incidence lists, with each re-routed
-    # x-edge dropped at its forest end and each appended edge added at both
-    # ends; only the vertices the rewrite touched get a new list.  A gadget
-    # leaf's list holds just its edge from v, by which the walk reaches it;
-    # its x-edge is read from x's list.
-    adjacent = list(incident)
+    # (l, x) at its own index, and (v, l) is appended, with l a child of v.
+    # Multi-vertex tree roots are never x-adjacent by the selection rule
+    # above, and a single-vertex tree's root is a forest leaf, so only the
+    # tree degree and the number of x-edges matter here.
     for v, e in x_ends:
         k = x_count[v]
         if k >= 2 or len(incident[v]) - k + (v in anchors) >= 2:
             next_id += 1
             edges[e] = (x, next_id) if g_edges[e][0] == x else (next_id, x)
             edges.append((v, next_id))
-            adjacent[v] = tuple(f for f in adjacent[v] if f != e)
-    adjacent += [()] * (next_id - n)
-    for e in range(g.m, len(edges)):
-        a, b = edges[e]
-        adjacent[a] += (e,)
-        adjacent[b] += (e,)
+            parent.append(v)
+            parent_edge.append(len(edges) - 1)
 
-    # The rooted forest.  Each tree is walked from its root, and the
-    # reversed walk lists children before parents.
+    # The rooted forest: children in ascending order, read off the parents
+    # in vertex order, and each tree walked from its root; the reversed walk
+    # lists children before parents.
     x_edge_of: dict[int, int] = {}
-    for e in adjacent[x]:
+    for e in incident[x]:
         a, b = edges[e]
         x_edge_of[b if a == x else a] = e
-    assert len(x_edge_of) == len(adjacent[x]), "vertex with several x-edges survived preparation"
-    parent_edge = [-1] * (next_id + 1)
+    if x_leaf:
+        x_edge_of[x_leaf] = g.m
+    assert len(x_edge_of) == len(incident[x]) + (x_leaf > 0), (
+        "vertex with several x-edges survived preparation"
+    )
+    below: dict[int, list[int]] = {}
+    for w, v in enumerate(parent):
+        if v:
+            if v in below:
+                below[v].append(w)
+            else:
+                below[v] = [w]
     children: dict[int, tuple[int, ...]] = dict.fromkeys(range(1, next_id + 1), ())
     del children[x]
+    for v, group in below.items():
+        if v in x_edge_of:
+            raise AssertionError("inner vertex kept an x-edge after preparation")
+        children[v] = tuple(group)
     walk: list[int] = []
     spans: list[tuple[int, int]] = []
     for root in roots:
@@ -229,21 +246,7 @@ def prepare_sedp(inst: EdpInstance, x: int) -> SedpInstance:
         while stack:
             v = stack.pop()
             walk.append(v)
-            up = parent_edge[v]
-            below = []
-            for e in adjacent[v]:
-                if e != up:
-                    a, b = edges[e]
-                    w = b if a == v else a
-                    if w != x:
-                        parent_edge[w] = e
-                        below.append(w)
-            if below:
-                if v in x_edge_of:
-                    raise AssertionError("inner vertex kept an x-edge after preparation")
-                below.sort()
-                children[v] = tuple(below)
-                stack += below
+            stack += children[v]
         spans.append((start, len(walk)))
     walk.reverse()  # children before parents
     total = len(walk)

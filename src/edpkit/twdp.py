@@ -13,12 +13,15 @@ Walk semantics.  The node steps run on endpoint states: the sorted tuple
 of (a, b) end pairs, a <= b, of a family of edge-disjoint walks in the
 subgraph below the node, bag-internal edges excluded.  No vertex sets are
 kept, so a walk may revisit a vertex but never an edge; certify turns the
-root's walks into paths.  A record is a function of the ends alone
-(_record), so a stored record is realized by its witness, and a record that
-some walk family realizes is stored unless a stored record dominates it
-(below).  No degree cap is tested: the walks are edge-disjoint, so a
-vertex of degree d ends at most d of them, and the degree bounds only how
-many records a table can hold.
+root's walks into paths.  Every step keeps a state sorted (a forget move
+deletes the walks it consumes and inserts the new one in order, a join
+sorts the glued ends), and _record relies on it: equal spare walks are
+adjacent, so give is counted in one pass over the ends.  A record is a
+function of the ends alone (_record), so a stored record is realized by
+its witness, and a record that some walk family realizes is stored unless
+a stored record dominates it (below).  No degree cap is tested: the walks
+are edge-disjoint, so a vertex of degree d ends at most d of them, and the
+degree bounds only how many records a table can hold.
 
   - Introduce adds the trivial (v, v) walk of a terminal v.  An introduced
     non-terminal is no walk end, so that node shares its child's table.
@@ -113,11 +116,15 @@ def _record(ctx: _Context, ends) -> RecordKey | None:
     assignment satisfies the semantics (then the family is discarded).
     Every processed terminal ends exactly one walk of every offered state
     (forget drops spare walks only), so a terminal is a single exactly when
-    its partner has no anchor."""
+    its partner has no anchor.  The ends are sorted, so equal spare walks
+    are adjacent and come in give's order, and each is counted as it is
+    read; a terminal's anchor is checked against the bag as it is set."""
     partner = ctx.partner
     bag = ctx.bag
     anchor: dict[int, int] = {}
-    gives: dict[tuple[int, int], int] = {}
+    give: list[tuple[tuple[int, int], int]] = []
+    last = None  # the spare walk counted last, `count` times
+    count = 0
     for p in ends:
         a, b = p
         if a in partner:
@@ -127,24 +134,31 @@ def _record(ctx: _Context, ends) -> RecordKey | None:
                 if partner[a] != b or b in anchor:
                     return None
                 anchor[a] = anchor[b] = _CLOSED
+            elif b not in bag:
+                return None
             else:
                 anchor[a] = b
         elif b in partner:
-            if b in anchor:
+            if b in anchor or a not in bag:
                 return None
             anchor[b] = a
+        elif p == last:
+            count += 1
         else:
             if a == b or a not in bag or b not in bag:
                 return None
-            gives[p] = gives.get(p, 0) + 1
+            if count:
+                give.append((last, count))
+            last = p
+            count = 1
+    if count:
+        give.append((last, count))
 
     used: list[tuple[int, int]] = []
     single: list[tuple[int, int]] = []
     for t, x in anchor.items():
         if x == _CLOSED:
             continue
-        if x not in bag:
-            return None
         s = partner[t]
         xs = anchor.get(s)
         if xs is None:
@@ -153,7 +167,9 @@ def _record(ctx: _Context, ends) -> RecordKey | None:
             if x == xs:
                 return None
             used.append((x, xs) if x < xs else (xs, x))
-    return (tuple(sorted(used)), tuple(sorted(gives.items())), tuple(sorted(single)))
+    used.sort()
+    single.sort()
+    return (tuple(used), tuple(give), tuple(single))
 
 
 class Table:
@@ -170,8 +186,8 @@ class Table:
     def add(self, ctx: _Context, state: Candidate) -> None:
         """Offer a candidate; it is kept when its record is new."""
         rec = _record(ctx, state[0])
-        if rec is not None and rec not in self.records:
-            self.records[rec] = state
+        if rec is not None:
+            self.records.setdefault(rec, state)
 
     def settle(self) -> None:
         """Keep the records whose give is maximal, and build their walks."""
@@ -190,34 +206,40 @@ def _dominated(records: Collection[RecordKey]) -> set[RecordKey]:
     sub-multiset is a subset.  Within one (used, single) group, records are
     taken by falling size and tested against the maximal ones seen so far."""
     dropped: set[RecordKey] = set()
-    if len(records) < 2 or not any(rec[1] for rec in records):
+    if len(records) < 2:
         return dropped
     first: dict[tuple, RecordKey] = {}  # (used, single) -> its first record
     groups: dict[tuple, list[RecordKey]] = {}  # the keys of two or more
     for rec in records:
         key = rec[0], rec[2]
-        if key in first:
-            groups.setdefault(key, [first[key]]).append(rec)
-        else:
-            first[key] = rec
+        other = first.setdefault(key, rec)
+        if other is not rec:
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [other, rec]
+            else:
+                group.append(rec)
     bit: dict[tuple[tuple[int, int], int], int] = {}
     code: dict[tuple, tuple[int, int]] = {}  # give -> (size, bit set)
     for group in groups.values():
         coded = []
         for rec in group:
             give = rec[1]
-            if give not in code:
+            size_mask = code.get(give)
+            if size_mask is None:
                 mask = 0
                 for pair, count in give:
                     for k in range(count):
                         mask |= 1 << bit.setdefault((pair, k), len(bit))
-                code[give] = (mask.bit_count(), mask)
-            coded.append((*code[give], rec))
+                size_mask = code[give] = (mask.bit_count(), mask)
+            coded.append((*size_mask, rec))
         coded.sort(key=itemgetter(0), reverse=True)
         maximal: list[int] = []
         for _, mask, rec in coded:
-            if any(mask & top == mask for top in maximal):
-                dropped.add(rec)
+            for top in maximal:
+                if mask & top == mask:
+                    dropped.add(rec)
+                    break
             else:
                 maximal.append(mask)
     return dropped
@@ -245,21 +267,6 @@ def _with_trivial(ends: Ends, walks: Walks, v: int) -> Walks:
 Move = tuple[int, int, int, int, int]
 
 
-def _drop(items: list, i: int, j: int) -> None:
-    """Delete entries i and j of a list; an index below 0 names no entry."""
-    for k in sorted((i, j), reverse=True):
-        if k >= 0:
-            del items[k]
-
-
-def _replace(ends: Ends, i: int, j: int, a: int, b: int) -> Ends:
-    """ends without entries i and j, plus walk (a, b)."""
-    rest = list(ends)
-    _drop(rest, i, j)
-    insort(rest, (a, b) if a <= b else (b, a))
-    return tuple(rest)
-
-
 def _edge_moves(
     ends: Ends, e: int, u: int, v: int, limit: float, partner: dict[int, int]
 ) -> list[tuple[Ends, Move | None]]:
@@ -275,17 +282,26 @@ def _edge_moves(
     the same state with the walk left unused has the larger give (a walk
     closed at u, which no record accepts, is the exception).  A fresh walk is offered only between two
     non-terminals: a terminal has degree one, and its walk is the trivial
-    one until this edge extends it."""
+    one until this edge extends it.
+
+    Each successor is the state's list with the consumed walks deleted and
+    the new walk inserted in order."""
     at_u = []  # (index, far end) of walks with an end at u
-    at_v = []
+    at_v = []  # (index, far end, whether far is a terminal) at v
     held = 0  # terminal walks ending at v
     for i, (a, b) in enumerate(ends):
-        if a == u or b == u:
-            at_u.append((i, b if a == u else a))
-        if a == v or b == v:
-            far = b if a == v else a
-            at_v.append((i, far))
-            held += far in partner
+        if a == u:
+            at_u.append((i, b))
+        elif b == u:
+            at_u.append((i, a))
+        if a == v:
+            t = b in partner
+            at_v.append((i, b, t))
+            held += t
+        elif b == v:
+            t = a in partner
+            at_v.append((i, a, t))
+            held += t
     out: list[tuple[Ends, Move | None]] = []
     if held <= limit:
         out.append((ends, None))
@@ -295,14 +311,26 @@ def _edge_moves(
             out.append((tuple(fresh), (e, u, v, -1, -1)))
     for i, far in at_u:
         if held + (far in partner) <= limit and (limit or far == u):
-            out.append((_replace(ends, i, -1, far, v), (e, u, v, i, -1)))
-    for i, far in at_v:
-        if held - (far in partner) <= limit:
-            out.append((_replace(ends, i, -1, far, u), (e, v, u, i, -1)))
+            rest = list(ends)
+            del rest[i]
+            insort(rest, (far, v) if far <= v else (v, far))
+            out.append((tuple(rest), (e, u, v, i, -1)))
+    for i, far, t in at_v:
+        if held - t <= limit:
+            rest = list(ends)
+            del rest[i]
+            insort(rest, (far, u) if far <= u else (u, far))
+            out.append((tuple(rest), (e, v, u, i, -1)))
     for i, far_u in at_u:
-        for j, far_v in at_v:
-            if i != j and held - (far_v in partner) <= limit:
-                out.append((_replace(ends, i, j, far_u, far_v), (e, u, v, i, j)))
+        for j, far_v, t in at_v:
+            if i != j and held - t <= limit:
+                rest = list(ends)
+                if i < j:
+                    del rest[j], rest[i]
+                else:
+                    del rest[i], rest[j]
+                insort(rest, (far_u, far_v) if far_u <= far_v else (far_v, far_u))
+                out.append((tuple(rest), (e, u, v, i, j)))
     return out
 
 
@@ -320,9 +348,17 @@ def _forget_walks(ends: Ends, walks: Walks, moves: tuple[Move, ...], drop: int) 
         if j >= 0:
             (p, w) = items[j]
             b, right = (p[1], w) if p[0] == y else (p[0], w[::-1])
-        _drop(items, i, j)
-        insort(items, _normalized(a, b, left + (e,) + right), key=_end_key)
-    return tuple(w for p, w in items if drop not in p)
+        if i > j:
+            del items[i]
+            if j >= 0:
+                del items[j]
+        elif j >= 0:
+            del items[j]
+            if i >= 0:
+                del items[i]
+        walk = left + (e,) + right
+        insort(items, ((a, b), walk) if a <= b else ((b, a), walk[::-1]), key=_end_key)
+    return tuple([w for p, w in items if drop not in p])
 
 
 def _forget(ctx: _Context, table: Table, child: Table, v: int, links: list[tuple[int, int]]) -> None:
@@ -339,8 +375,8 @@ def _forget(ctx: _Context, table: Table, child: Table, v: int, links: list[tuple
     v than edges remain to be offered.
 
     One deduplicated state set per edge serves the whole forget node: a
-    layer maps each state to its first derivation (child ends, child walks,
-    moves), child records taken in table order.  A state's continuations do
+    layer maps each state to its first derivation (child witness, moves),
+    child records taken in table order.  A state's continuations do
     not depend on the record it came from, so a state that two child
     records reach is extended and recorded once, with the derivation from
     the first of them."""
@@ -348,20 +384,18 @@ def _forget(ctx: _Context, table: Table, child: Table, v: int, links: list[tuple
     drop = 0 if v in partner else v
     # Distinct records have distinct ends, since a record is a function of
     # its ends.
-    layer: dict[Ends, tuple[Ends, Walks, tuple[Move, ...]]] = {
-        ends: (ends, walks, ()) for ends, walks in child.records.values()
+    layer: dict[Ends, tuple[tuple[Ends, Walks], tuple[Move, ...]]] = {
+        witness[0]: (witness, ()) for witness in child.records.values()
     }
     for done, (e, u) in enumerate(links, start=1):
         limit = len(links) - done if drop else inf
-        nxt: dict[Ends, tuple[Ends, Walks, tuple[Move, ...]]] = {}
+        nxt: dict[Ends, tuple[tuple[Ends, Walks], tuple[Move, ...]]] = {}
         for state, derivation in layer.items():
             for out, move in _edge_moves(state, e, u, v, limit, partner):
-                if out not in nxt:
-                    ends, walks, moves = derivation
-                    nxt[out] = derivation if move is None else (ends, walks, moves + (move,))
+                nxt.setdefault(out, derivation if move is None else (derivation[0], derivation[1] + (move,)))
         layer = nxt
     offered: set[Ends] = set()
-    for state, (ends, walks, moves) in layer.items():
+    for state, ((ends, walks), moves) in layer.items():
         if drop:
             state = tuple([p for p in state if drop not in p or p[0] in partner or p[1] in partner])
             if state in offered:
@@ -498,6 +532,7 @@ def _glued_ends(
 ) -> Ends | None:
     """Endpoint state after the glues, or None if one closes a cycle."""
     far: dict[int, int] = {}  # end of a glued walk -> its other end
+    touched: set[int] = set()  # pieces in glued walks
     for p, q in glues:
         fp = far.pop(p, p ^ 1)
         if fp == q:
@@ -505,14 +540,19 @@ def _glued_ends(
         fq = far.pop(q, q ^ 1)
         far[fp] = fq
         far[fq] = fp
-    touched = {p >> 1 for glue in glues for p in glue}
+        touched.add(p >> 1)
+        touched.add(q >> 1)
     out = [(v, v) for v, _ in trivial]
-    out += [p for i, p in enumerate(pieces) if i not in touched]
-    for f, h in far.items():
-        if f < h:
-            a, b = pieces[f >> 1][f & 1], pieces[h >> 1][h & 1]
-            out.append((a, b) if a <= b else (b, a))
-    return tuple(sorted(out))
+    if touched:
+        out += [p for i, p in enumerate(pieces) if i not in touched]
+        for f, h in far.items():
+            if f < h:
+                a, b = pieces[f >> 1][f & 1], pieces[h >> 1][h & 1]
+                out.append((a, b) if a <= b else (b, a))
+    else:
+        out += pieces
+    out.sort()
+    return tuple(out)
 
 
 def compute_tables(
@@ -560,9 +600,7 @@ def compute_tables(
                 v = nd.vertex
                 assert v is not None
                 links = sorted(
-                    (e, g.other_end(e, v))
-                    for e in g.incident(v)
-                    if g.other_end(e, v) in nd.bag
+                    (e, u) for e in g.incident(v) if (u := g.other_end(e, v)) in nd.bag
                 )
                 _forget(ctx, table, tables[c], v, links)
             else:  # join

@@ -1,5 +1,6 @@
 import sys
 from collections import Counter
+from math import inf
 from unittest import mock
 
 import pytest
@@ -28,6 +29,7 @@ from edpkit.twdp import (
 )
 
 from conftest import grid_graph, multigraphs, random_bounded_degree_instance, random_multigraph
+import kernel_oracle
 from forget_oracle import forget_per_record
 from minfill_oracle import min_fill_order
 from treedec_oracle import is_tree_decomposition
@@ -549,3 +551,62 @@ def test_tables_are_antichains_in_give(inst):
             for low in gives:
                 for high in gives:
                     assert low == high or any(c > high.get(p, 0) for p, c in low.items())
+
+
+def grid_with_pendant_terminals(rng):
+    """A w x h grid, w in 2..3 and h in 3..6, with 1-3 pairs whose
+    terminals are fresh leaves hung off distinct grid vertices."""
+    w, h = rng.randint(2, 3), rng.randint(3, 6)
+    g = grid_graph(w, h)
+    k = rng.randint(1, 3)
+    hosts = rng.sample(range(1, w * h + 1), 2 * k)
+    edges = list(g.edges) + [(host, w * h + 1 + i) for i, host in enumerate(hosts)]
+    pairs = tuple(TerminalPair(w * h + 1 + 2 * i, w * h + 2 + 2 * i) for i in range(k))
+    return normalize_instance(EdpInstance(Multigraph(w * h + 2 * k, edges), pairs))
+
+
+def test_kernels_match_their_reference_on_real_states(rng):
+    # The states are drawn from real tables: every stored witness's ends at
+    # every node, and every state of a forget's layers grown from its child
+    # records with the reference _edge_moves.  _edge_moves must return the
+    # same successors with the same moves in the same order, since the
+    # order picks the derivation a forget keeps, and so the witness.
+    instances = [random_bounded_degree_instance(rng) for _ in range(60)]
+    instances += [grid_with_pendant_terminals(rng) for _ in range(16)]
+    compared = Counter()
+    for inst in instances:
+        partner = {}
+        for p in inst.pairs:
+            partner[p.s] = p.t
+            partner[p.t] = p.s
+        nice = make_nice(build_tree_decomposition(inst.g))
+        tables = compute_tables(inst, nice, free_children=False)
+        for i, nd in enumerate(nice.nodes):
+            ctx = _Context(bag=nd.bag, partner=partner)
+            child_ctxs = [ctx] + [_Context(bag=nice.nodes[c].bag, partner=partner) for c in nd.children]
+            for ends, _ in tables[i].records.values():
+                for c in child_ctxs:
+                    assert twdp._record(c, ends) == kernel_oracle._record(c, ends), (c.bag, ends)
+                    compared["record"] += 1
+            if nd.kind != "forget":
+                continue
+            v = nd.vertex
+            links = sorted((e, g_u) for e in inst.g.incident(v) if (g_u := inst.g.other_end(e, v)) in nd.bag)
+            drop = 0 if v in partner else v
+            layer = [ends for ends, _ in tables[nd.children[0]].records.values()]
+            for done, (e, u) in enumerate(links, start=1):
+                limit = len(links) - done if drop else inf
+                nxt = {}
+                for state in layer:
+                    for lim in (limit, inf) if drop else (inf,):
+                        want = kernel_oracle._edge_moves(state, e, u, v, lim, partner)
+                        assert twdp._edge_moves(state, e, u, v, lim, partner) == want, (state, e, u, v, lim)
+                        compared["edge_moves"] += 1
+                    for out, _ in kernel_oracle._edge_moves(state, e, u, v, limit, partner):
+                        nxt.setdefault(out)
+                    assert twdp._record(ctx, state) == kernel_oracle._record(ctx, state), (nd.bag, state)
+                layer = list(nxt)
+            for state in layer:
+                assert twdp._record(ctx, state) == kernel_oracle._record(ctx, state), (nd.bag, state)
+                compared["record"] += 1
+    assert compared["edge_moves"] > 1000 and compared["record"] > 1000, compared
