@@ -125,6 +125,32 @@ def test_golden_certificates(tmp_path, capsys, engine):
     assert main(["verify", str(inst), str(sol)]) == EXIT_YES
 
 
+# Feedback vertex 9, forest rooted at 1.  Vertex 2 delivers terminal 12 up
+# to the root through its child 4; without that child its conflict graph
+# keeps the edge 5-15 of pair (14, 15), whose walk must come from the
+# matching of that smaller graph.  No other node delivering a pair has an
+# edge left there.
+DELIVERED_PAIR = (
+    "p edp 17 19 4\n"
+    + "".join(f"e {u} {v}\n" for u, v in [
+        (1, 2), (2, 3), (2, 4), (2, 5), (5, 6), (3, 7), (4, 8), (4, 9), (5, 9), (6, 9),
+        (7, 9), (6, 10), (9, 11), (8, 12), (1, 13), (5, 14), (2, 15), (4, 16), (3, 17),
+    ])
+    + "t 10 11\nt 12 13\nt 14 15\nt 16 17\n"
+)
+
+
+@pytest.mark.parametrize("engine", ["sedp", "auto"])
+def test_sedp_certificate_of_a_pair_delivered_past_a_matching(tmp_path, capsys, engine):
+    inst = write(tmp_path, "delivered.edp", DELIVERED_PAIR)
+    sol = tmp_path / "delivered.sol"
+    assert main(["solve", "--engine", engine, "--solution", str(sol), str(inst)]) == EXIT_YES
+    assert "[sedp]" in capsys.readouterr().out
+    want = "s yes\npath 1: 12 10 13\npath 2: 14 7 3 1 15\npath 3: 16 4 17\npath 4: 18 8 11 6 19\n"
+    assert sol.read_text(encoding="ascii") == want
+    assert main(["verify", str(inst), str(sol)]) == EXIT_YES
+
+
 def test_auto_twdp_with_terminals_on_grid_vertices(tmp_path, capsys):
     # auto falls through to twdp on these grids.  Terminals written on grid
     # vertices get leaves from normalization, which the decomposition must
