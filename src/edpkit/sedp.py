@@ -10,11 +10,11 @@ root), with a maximum-cover matching arbitrating between sibling subtrees.
 A node with one child has a conflict graph without edges, so it shares its
 child's label set.  At a node with two or more children the label pass
 records its decisions: the children's partition, the matching with no child
-excluded, and the lowest child that can deliver each pair label.  On a yes
-answer realization reads those records and files each pair's walk as its
-last join is made: one joining the pair's terminals, or two to x joined
-there; only a node asked to deliver a pair runs one more matching, without
-the delivering child.
+excluded, and the lowest child that can deliver each pair label, with the
+matching without that child.  On a yes answer realization reads those
+records in one parent-first pass per tree, runs no matching, and grows each
+walk downward from the node that joins it: one joining a pair's terminals,
+or one from a terminal to x.
 """
 
 from __future__ import annotations
@@ -57,10 +57,12 @@ class _NodePlan(NamedTuple):
     shared_pair: dict[tuple[int, int], int]  # H-edge -> lowest shared pair, in H-edge order
 
 
+_Matching = tuple[tuple[int, int], ...]  # H-edges, in H-edge order
 # What the label pass decided at a node with two or more children: its
 # plan, the maximum-cover matching of H(t) with no child excluded, and for
-# each pair label the lowest child that can deliver it.
-_Decision = tuple[_NodePlan, tuple[tuple[int, int], ...], dict[int, int]]
+# each pair label the lowest child that can deliver it, with the matching
+# of H(t) without that child.
+_Decision = tuple[_NodePlan, _Matching, dict[int, tuple[int, _Matching]]]
 
 
 @dataclass
@@ -299,25 +301,18 @@ def _node_plan(children: tuple[int, ...], labels: dict[int, LabelSet]) -> _NodeP
     return _NodePlan(tuple(v_neg), tuple(v_x), tuple(sorted(h_vertices)), shared)
 
 
-def _max_cover(plan: _NodePlan, exclude: int | None) -> tuple[int, tuple[tuple[int, int], ...]]:
+def _max_cover(plan: _NodePlan, exclude: int | None) -> tuple[int, _Matching]:
     """Covered count of v_neg \\ {exclude} by a maximum-cover matching of
-    H(t) - exclude, plus the matching itself as child-vertex pairs."""
+    H(t) - exclude, plus the matched H-edges: edge e of h is edges[e]."""
     v_neg, _, h_vertices, shared_pair = plan
     edges = [e for e in shared_pair if exclude not in e]
     if not edges:
         return 0, ()
-    verts = [v for v in h_vertices if v != exclude]
-    index = {v: i + 1 for i, v in enumerate(verts)}
-    h = Multigraph(len(verts), [(index[a], index[b]) for a, b in edges])
+    index = {v: i for i, v in enumerate((v for v in h_vertices if v != exclude), start=1)}
+    h = Multigraph(len(index), [(index[a], index[b]) for a, b in edges])
     target = {index[v] for v in v_neg if v != exclude}
     matching = matching_max_cover(h, target)
-    cover = len(matching.vertices(h) & target)
-    pairs = []
-    for e in sorted(matching.pairs):
-        a, b = h.edges[e]
-        u, w = verts[a - 1], verts[b - 1]
-        pairs.append((u, w) if (u, w) in shared_pair else (w, u))
-    return cover, tuple(pairs)
+    return len(matching.vertices(h) & target), tuple(edges[e] for e in sorted(matching.pairs))
 
 
 def compute_labels(prep: SedpInstance, t: int, child_labels: dict[int, LabelSet]) -> LabelSet:
@@ -331,8 +326,8 @@ def compute_labels(prep: SedpInstance, t: int, child_labels: dict[int, LabelSet]
     deliver one of its terminals while the rest remains coverable.  With
     one child H(t) has no edge and the rule keeps exactly the child's
     services, so t shares the child's label set.  At a node with two or
-    more children the plan, the matching and the delivering children are
-    kept in prep.decisions for realization.
+    more children prep.decisions keeps the plan, the matching, and each
+    pair's delivering child with the matching without it.
     """
     children = prep.children[t]
     if not children:
@@ -346,35 +341,29 @@ def compute_labels(prep: SedpInstance, t: int, child_labels: dict[int, LabelSet]
     plan = _node_plan(children, child_labels)
     if plan is None:
         return EMPTY_LABELS
-    cover, matching = _max_cover(plan, exclude=None) if plan.shared_pair else (0, ())
-    deficiency = len(plan.v_neg) - cover
-    gamma_empty = deficiency <= len(plan.v_x)
-    gamma_x = deficiency < len(plan.v_x)
+    v_neg, v_x, _, shared_pair = plan
+    cover, matching = _max_cover(plan, exclude=None) if shared_pair else (0, ())
+    deficiency = len(v_neg) - cover
+    gamma_empty = deficiency <= len(v_x)
+    gamma_x = deficiency < len(v_x)
 
-    deliverer: dict[int, int] = {}
+    # Child c can deliver a terminal up to t if the other children's
+    # demands stay covered by the matching of H(t) - c or by x-paths.
+    deliverer: dict[int, tuple[int, _Matching]] = {}
     for c in children:
-        ok = None
+        delivery = None  # (c, matching of H(t) - c), or () where c cannot deliver
         for p in child_labels[c].pair_labels:
             if p in deliverer:
                 continue
-            if ok is None:
-                ok = _deliverable_via(plan, c)
-            if not ok:
+            if delivery is None:
+                cover_c, matching_c = _max_cover(plan, exclude=c) if shared_pair else (0, ())
+                ok = len(v_neg) - (c in v_neg) - cover_c <= len(v_x) - (c in v_x)
+                delivery = (c, matching_c) if ok else ()
+            if not delivery:
                 break
-            deliverer[p] = c
+            deliverer[p] = delivery
     prep.decisions[t] = (plan, matching, deliverer)
     return LabelSet(gamma_empty, gamma_x, frozenset(deliverer) if deliverer else _NO_PAIRS)
-
-
-def _deliverable_via(plan: _NodePlan, ti: int) -> bool:
-    """Whether child ti can deliver a terminal up to the node while the
-    other children's demands stay covered by matching or x-paths."""
-    v_neg, v_x, _, shared_pair = plan
-    # Without H-edges no matching covers anything.
-    cover_i = _max_cover(plan, exclude=ti)[0] if shared_pair else 0
-    neg = len(v_neg) - (ti in v_neg)
-    avail = len(v_x) - (ti in v_x)
-    return neg - cover_i <= avail
 
 
 def labels_for_tree(prep: SedpInstance, root: int) -> dict[int, LabelSet]:
@@ -392,94 +381,76 @@ def _realize_tree(
     following the label rules' constructive steps with all arbitrary
     choices fixed to lowest index.
 
-    A top-down pass gives every vertex its mode: "ge", "gx", or the pair
-    label whose terminal it delivers to its parent.  A node with one child
-    passes its mode down.  A bottom-up pass then joins the children's
-    open walks at each node; an open walk is an edge list from its start,
-    a terminal or x, to the current vertex, grown in place as it climbs.
-    A join is filed at once: one whose far end is x in to_x[terminal] (as
-    is a "ge" terminal leaf's x-edge), one of a pair's two terminals in
+    One parent-first pass hands every vertex its mode: "ge", "gx", or the
+    pair label whose terminal it delivers to its parent.  Unless the mode
+    is "ge", the vertex also receives the half-walk that its parent edge
+    extends.  A node with one child hands both down; a node asked for a
+    pair reads the matching the label pass kept with that pair's
+    delivering child.  A join through a node starts one walk as two
+    halves, each grown downward until a leaf ends it at its terminal or,
+    by the leaf's x-edge, at x; the supplier of an x-path is the second
+    half.  The half that ends last files the walk: in to_x[terminal] if
+    it reaches x (as is a "ge" terminal leaf's x-edge), else in
     walks[pair], from the pair's s.
     """
     x, children_of, up = prep.x, prep.children, prep.parent_edge
-    tree = prep.post_order[prep.tree_slice[root]]  # children before parents
-    modes: dict[int, str | int] = {root: "ge"}
-    steps: dict[int, tuple] = {}  # node -> (pairs of children joined at it, child extended upward)
-    for t in reversed(tree):
-        mode = modes[t]
+    # Vertex -> (mode, walk, which half) as handed down; "ge" if absent.  A
+    # walk is [first half, second half, first end, second end], an end 0
+    # until its half ends; a half lists its edges from the join downward.
+    handed: dict[int, tuple[str | int, list, int]] = {}
+    for t in reversed(prep.post_order[prep.tree_slice[root]]):  # parents before children
+        mode, walk, side = given = handed.pop(t, ("ge", None, 0))
+        if mode != "ge":
+            walk[side].append(up[t])
         children = children_of[t]
-        if len(children) == 1:
-            modes[children[0]] = mode
-            continue
         if not children:
+            x_edge = prep.x_edge_of.get(t)
+            if mode == "ge":
+                if t in prep.pair_of:
+                    assert x_edge is not None, "terminal leaf without x-edge cannot be gamma-empty"
+                    to_x[t] = [x_edge]
+                continue
+            if mode == "gx":
+                assert t not in prep.pair_of and x_edge is not None
+                walk[side].append(x_edge)
+                walk[2 + side] = x
+            else:
+                assert prep.pair_of.get(t) == mode, "leaf asked for a pair it does not hold"
+                walk[2 + side] = t
+            _, _, a, b = walk
+            if a and b:
+                edges = walk[0][::-1] + walk[1]
+                if b == x:
+                    to_x[a] = edges
+                else:
+                    j = prep.pair_of[a]
+                    walks[j] = edges if prep.pairs[j].s == a else edges[::-1]
+            continue
+        if len(children) == 1:
+            handed[children[0]] = given
             continue
         plan, matching, deliverer = prep.decisions.pop(t)
         v_neg, v_x, _, shared_pair = plan
-        exclude: int | None = None
+        upward: int | None = None  # the child that extends the node's own half
         if isinstance(mode, int):
-            exclude = deliverer[mode]
-            _, matching = _max_cover(plan, exclude)
+            upward, matching = deliverer[mode]
         matched = {v for e in matching for v in e}
-        unmatched_neg = [v for v in v_neg if v not in matched and v != exclude]
-        suppliers_pool = [v for v in v_x if v != exclude]
+        unmatched_neg = [v for v in v_neg if v not in matched and v != upward]
+        suppliers_pool = [v for v in v_x if v != upward]
         alpha = tuple(zip(unmatched_neg, suppliers_pool))
-        upward = exclude  # delivers the pair upward
         if mode == "gx":
             upward = suppliers_pool[len(alpha)]  # the lowest supplier alpha left spare
-        child_mode: dict[int, str | int] = {}
+        if upward is not None:
+            handed[upward] = given
+        # A walk through t for each matched delivery, and for each unmatched
+        # one a walk to x through its supplier, which is the second half.
         for ci, cj in matching:
             p = shared_pair[(ci, cj)]
-            child_mode[ci] = p
-            child_mode[cj] = p
+            fresh: list = [[], [], 0, 0]
+            handed[ci], handed[cj] = (p, fresh, 0), (p, fresh, 1)
         for u, supplier in alpha:
-            child_mode[u] = min(labels[u].pair_labels)
-            child_mode[supplier] = "gx"
-        if upward is not None:
-            child_mode[upward] = mode
-        steps[t] = (matching + alpha, upward)
-        for c in children:
-            modes[c] = child_mode.get(c, "ge")
-
-    open_walks: dict[int, tuple[list[int], int]] = {}  # vertex -> (edges so far, start)
-    for t in tree:
-        mode = modes[t]
-        children = children_of[t]
-        if not children:
-            pair = prep.pair_of.get(t)
-            x_edge = prep.x_edge_of.get(t)
-            if mode == "ge":
-                if pair is not None:
-                    assert x_edge is not None, "terminal leaf without x-edge cannot be gamma-empty"
-                    to_x[t] = [x_edge]
-            elif mode == "gx":
-                assert pair is None and x_edge is not None
-                open_walks[t] = ([x_edge], x)
-            else:
-                assert pair == mode, "leaf asked for a pair it does not hold"
-                open_walks[t] = ([], t)
-            continue
-        if len(children) == 1:
-            joins: tuple[tuple[int, int], ...] = ()
-            upward = None if mode == "ge" else children[0]
-        else:
-            joins, upward = steps.pop(t)
-        # Join two open walks through t: matched deliveries, and unmatched
-        # deliveries routed to x through their supplier, which comes second.
-        for ci, cj in joins:
-            edges, a = open_walks.pop(ci)
-            edges_j, b = open_walks.pop(cj)
-            edges.append(up[ci])
-            edges.append(up[cj])
-            edges.extend(reversed(edges_j))
-            if b == x:
-                to_x[a] = edges
-            else:
-                j = prep.pair_of[a]
-                walks[j] = edges if prep.pairs[j].s == a else edges[::-1]
-        if upward is not None:
-            walk = open_walks.pop(upward)
-            walk[0].append(up[upward])
-            open_walks[t] = walk
+            fresh = [[], [], 0, 0]
+            handed[u], handed[supplier] = (min(labels[u].pair_labels), fresh, 0), ("gx", fresh, 1)
 
 
 def solve_sedp(inst: EdpInstance, x: int | None = None) -> SolveResult:

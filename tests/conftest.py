@@ -169,3 +169,17 @@ def star_of_paths(total_vertices: int, num_pairs: int) -> EdpInstance:
         for i in range(num_pairs)
     )
     return EdpInstance(Multigraph(next_id, edges), pairs)
+
+
+def delivered_past_matching() -> EdpInstance:
+    """17 vertices with feedback vertex 9; the forest is rooted at 1.
+    Vertex 2 delivers terminal 12 up to the root through its child 4;
+    without that child its conflict graph keeps the edge 5-15 of pair
+    (14, 15), whose walk must come from the matching of that smaller
+    graph.  No other node delivering a pair has an edge left there."""
+    edges = [
+        (1, 2), (2, 3), (2, 4), (2, 5), (5, 6), (3, 7), (4, 8), (4, 9), (5, 9), (6, 9),
+        (7, 9), (6, 10), (9, 11), (8, 12), (1, 13), (5, 14), (2, 15), (4, 16), (3, 17),
+    ]
+    pairs = (TerminalPair(10, 11), TerminalPair(12, 13), TerminalPair(14, 15), TerminalPair(16, 17))
+    return EdpInstance(Multigraph(17, edges), pairs)

@@ -28,7 +28,7 @@ from edpkit.graph import Multigraph
 from edpkit.instance import EdpInstance, ParseError, TerminalPair, parse_instance, write_instance
 from edpkit.oracle import exhaustive_fracture_number
 
-from conftest import grid_graph, star_of_paths
+from conftest import delivered_past_matching, grid_graph, star_of_paths
 
 
 def write(tmp_path: Path, name: str, text: str) -> Path:
@@ -125,30 +125,41 @@ def test_golden_certificates(tmp_path, capsys, engine):
     assert main(["verify", str(inst), str(sol)]) == EXIT_YES
 
 
-# Feedback vertex 9, forest rooted at 1.  Vertex 2 delivers terminal 12 up
-# to the root through its child 4; without that child its conflict graph
-# keeps the edge 5-15 of pair (14, 15), whose walk must come from the
-# matching of that smaller graph.  No other node delivering a pair has an
-# edge left there.
-DELIVERED_PAIR = (
-    "p edp 17 19 4\n"
-    + "".join(f"e {u} {v}\n" for u, v in [
-        (1, 2), (2, 3), (2, 4), (2, 5), (5, 6), (3, 7), (4, 8), (4, 9), (5, 9), (6, 9),
-        (7, 9), (6, 10), (9, 11), (8, 12), (1, 13), (5, 14), (2, 15), (4, 16), (3, 17),
-    ])
-    + "t 10 11\nt 12 13\nt 14 15\nt 16 17\n"
-)
-
-
 @pytest.mark.parametrize("engine", ["sedp", "auto"])
 def test_sedp_certificate_of_a_pair_delivered_past_a_matching(tmp_path, capsys, engine):
-    inst = write(tmp_path, "delivered.edp", DELIVERED_PAIR)
+    inst = write(tmp_path, "delivered.edp", write_instance(delivered_past_matching()))
     sol = tmp_path / "delivered.sol"
     assert main(["solve", "--engine", engine, "--solution", str(sol), str(inst)]) == EXIT_YES
     assert "[sedp]" in capsys.readouterr().out
     want = "s yes\npath 1: 12 10 13\npath 2: 14 7 3 1 15\npath 3: 16 4 17\npath 4: 18 8 11 6 19\n"
     assert sol.read_text(encoding="ascii") == want
     assert main(["verify", str(inst), str(sol)]) == EXIT_YES
+
+
+def test_sedp_builds_its_walks_without_a_matching(tmp_path, monkeypatch):
+    # The label pass keeps, with each pair's delivering child, the matching
+    # of the conflict graph without that child; building the walks reads it.
+    calls = {"labels": 0, "walks": 0}
+    phase = ["labels"]
+
+    def counting(h, target):
+        calls[phase[0]] += 1
+        return graph.matching_max_cover(h, target)
+
+    real = sedp._realize_tree
+
+    def realizing(*args):
+        phase[0] = "walks"
+        try:
+            real(*args)
+        finally:
+            phase[0] = "labels"
+
+    monkeypatch.setattr(sedp, "matching_max_cover", counting)
+    monkeypatch.setattr(sedp, "_realize_tree", realizing)
+    inst = write(tmp_path, "delivered.edp", write_instance(delivered_past_matching()))
+    assert main(["solve", "--engine", "sedp", str(inst)]) == EXIT_YES
+    assert calls == {"labels": 6, "walks": 0}
 
 
 def test_auto_twdp_with_terminals_on_grid_vertices(tmp_path, capsys):

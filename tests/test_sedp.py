@@ -16,9 +16,10 @@ from edpkit.sedp import (
     solve_sedp,
 )
 
-from conftest import random_fvs1_instance, star_of_paths
+from conftest import delivered_past_matching, random_fvs1_instance, star_of_paths
 from def2_oracle import definition_labels, subtree_vertices
 from prepare_oracle import prepare_on_built_graph
+import realize_oracle
 
 
 def tree_root(prep, v):
@@ -315,3 +316,39 @@ def test_prepare_matches_the_built_graph_oracle(rng):
             assert prep.inst == want_inst and prep.inst.g.edges == want_inst.g.edges, (work, x)
             prepared += 1
     assert prepared > 500 and refused > 0, (prepared, refused)
+
+
+def test_realization_matches_the_two_pass_oracle(rng, monkeypatch):
+    # The walks themselves must agree, not only the certificates, which
+    # certify's shortcut could make equal anyway.
+    delivered_past = []  # plans of pair-mode nodes whose H(t) has edges
+
+    def watching(plan, exclude):
+        if plan.shared_pair:
+            delivered_past.append(plan)
+        return sedp._max_cover(plan, exclude)
+
+    monkeypatch.setattr(realize_oracle, "_max_cover", watching)
+    cases = [(star_of_paths(3000, 300), 1), (delivered_past_matching(), 9)]
+    for _ in range(1000):
+        work = random_fvs1_instance(rng, max_pairs=4)
+        cases += [(work, x) for x in range(1, work.g.n + 1)]
+    realized = 0
+    for work, x in cases:
+        try:
+            prep = prepare_sedp(work, x)
+        except ValueError:
+            continue
+        labels = all_labels(prep)
+        if not all(labels[root].gamma_empty for root in prep.roots):
+            continue
+        decisions = dict(prep.decisions)  # each realization reads them once
+        got, want = ({}, {}), ({}, {})
+        for root in prep.roots:
+            sedp._realize_tree(prep, root, labels, *got)
+        prep.decisions = decisions
+        for root in prep.roots:
+            realize_oracle._realize_tree(prep, root, labels, *want)
+        assert got == want, (work, x)
+        realized += 1
+    assert realized > 1500 and delivered_past, realized
